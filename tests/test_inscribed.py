@@ -223,3 +223,27 @@ def test_verify_rejects_coincident_pairs():
                          midpoint_residual=0.0, length_residual=0.0)
     with pytest.raises(ValueError, match="pairs not distinct"):
         verify_rectangle(c, w, tol=1e-6)
+
+
+def test_verify_measures_polygon_vertices_on_exact_segments():
+    # a witness on the L-shaped hexagon with a vertex at (3, 0.99999996),
+    # next to the (3, 1) corner that a uniform resample cuts by ~5e-5
+    hexagon = load_polyline([(0.0, 0.0), (3.0, 0.0), (3.0, 1.0), (1.0, 1.0),
+                             (1.0, 3.0), (0.0, 3.0)])
+    pairs = ((0.3304877755613983, 0.9166666701755486),
+             (0.33333332982445063, 0.9195122244386009))
+    pa, pb = hexagon.eval(np.asarray(pairs[0])), hexagon.eval(np.asarray(pairs[1]))
+    verts = np.stack([pa[0], pb[0], pa[1], pb[1]])
+    w = RectangleWitness(pairs=pairs, vertices=verts,
+                         midpoint_residual=0.0, length_residual=0.0)
+    tol = 1e-8
+    report = verify_rectangle(hexagon, w, tol=10 * tol)
+    assert report.passes
+    assert max(report.vertex_curve_distances) < 1e-12
+
+    moved = verts.copy()
+    assert moved[1, 0] == 3.0 and 1.0 - moved[1, 1] < 1e-7
+    moved[1, 0] += 1e-6                      # off the x = 3 edge, outward
+    report = verify_rectangle(hexagon, RectangleWitness(pairs, moved, 0.0, 0.0), tol=10 * tol)
+    assert report.vertex_curve_distances[1] == moved[1, 0] - 3.0
+    assert not report.passes
