@@ -197,42 +197,6 @@ def _edge_orbit_keys(scheme, n, pi, pj, qi, qj):
     return key, sign
 
 
-class _SignedUnionFind:
-    """Union-find over edge-orbit keys carrying a relative direction sign."""
-
-    def __init__(self):
-        self.parent = {}
-        self.parity = {}
-
-    def find(self, k):
-        if k not in self.parent:
-            self.parent[k] = k
-            self.parity[k] = 1
-            return k, 1
-        path = []
-        while self.parent[k] != k:
-            path.append(k)
-            k = self.parent[k]
-        sign = 1
-        for node in reversed(path):
-            sign *= self.parity[node]
-            self.parent[node] = k
-            self.parity[node] = sign
-        return k, self.parity[path[0]] if path else 1
-
-    def find_sign(self, k):
-        root, _ = self.find(k)
-        return root, self.parity[k] if k != root else 1
-
-    def union(self, k1, k2, rel):
-        r1, s1 = self.find_sign(k1)
-        r2, s2 = self.find_sign(k2)
-        if r1 != r2:
-            # k1 direction ~ rel * k2 direction
-            self.parent[r2] = r1
-            self.parity[r2] = s1 * rel * s2
-
-
 def build_mesh(scheme, n, cfg=EmbedConfig()):
     """Welded triangle mesh realizing the scheme's quotient.
 
@@ -301,37 +265,21 @@ def build_mesh(scheme, n, cfg=EmbedConfig()):
     esign = esign.reshape(-1, 3)
 
     # a dropped sliver collapses to a segment: its two surviving sides are
-    # one and the same quotient edge
-    if degenerate.any():
-        uf = _SignedUnionFind()
-        tail_flat = (np.where(esign.ravel() > 0, pi, qi) * (n + 1)
-                     + np.where(esign.ravel() > 0, pj, qj)).reshape(-1, 3)
-        for t in np.nonzero(degenerate)[0]:
-            wt = tris_all[t]
-            slots = [k for k in range(3) if wt[k] != wt[(k + 1) % 3]]
-            if len(slots) != 2:
-                continue
-            k1, k2 = slots
-            # identify so that matching welded endpoints correspond: compare
-            # which end of each (+)-directed representative is the repeated
-            # (collapsed) class
-            w_rep = wt[[k for k in range(3) if k not in slots][0]]
-            tail1 = weld[tail_flat[t, k1]] == w_rep
-            tail2 = weld[tail_flat[t, k2]] == w_rep
-            rel = 1 if tail1 == tail2 else -1
-            uf.union(int(ekey[t, k1]), int(ekey[t, k2]), rel)
-
-        flat_keys = ekey.ravel()
-        roots = np.empty(len(flat_keys), dtype=np.int64)
-        parities = np.empty(len(flat_keys), dtype=np.int8)
-        cache = {}
-        for idx, k in enumerate(flat_keys):
-            k = int(k)
-            if k not in cache:
-                cache[k] = uf.find_sign(k)
-            roots[idx], parities[idx] = cache[k]
-        ekey = roots.reshape(-1, 3)
-        esign = esign * parities.reshape(-1, 3)
+    # one and the same quotient edge. Slivers occur only in the pinched
+    # columns (upper triangles of cells i = 0, lower ones of i = n - 1).
+    # Each joins a horizontal and a diagonal side; both are directed
+    # towards +i, from the same end, so they run the same way and their
+    # signs need no change. No key is in two slivers, so the second
+    # side's key simply maps onto the first's.
+    sliver = np.nonzero(degenerate)[0]
+    if len(sliver):
+        wt = tris_all[sliver]
+        k1, k2 = np.nonzero(wt != np.roll(wt, -1, axis=1))[1].reshape(-1, 2).T
+        src, dst = ekey[sliver, k2], ekey[sliver, k1]
+        by_src = np.argsort(src)
+        src, dst = src[by_src], dst[by_src]
+        at = np.minimum(np.searchsorted(src, ekey), len(src) - 1)
+        ekey = np.where(src[at] == ekey, dst[at], ekey)
 
     tris = tris_all[keep]
     ekey = ekey[keep]
@@ -358,84 +306,42 @@ def build_mesh(scheme, n, cfg=EmbedConfig()):
                 edge_ids=edge_ids, edge_signs=esign)
 
 
-def _trace_boundary_loops(boundary_pairs):
-    """Number of closed loops formed by the given (a, b) boundary edges."""
-    if not len(boundary_pairs):
-        return 0
-    incident = {}
-    for eid, (a, b) in enumerate(boundary_pairs):
-        incident.setdefault(int(a), []).append(eid)
-        incident.setdefault(int(b), []).append(eid)
-    for v, eids in incident.items():
-        if len(eids) != 2:
-            raise ValueError(
-                f"boundary does not form closed loops: vertex {v} has "
-                f"{len(eids)} boundary edges")
-    loops = 0
-    seen = [False] * len(boundary_pairs)
-    for start in range(len(boundary_pairs)):
-        if seen[start]:
-            continue
-        loops += 1
-        eid = start
-        v = int(boundary_pairs[start][0])
-        while not seen[eid]:
-            seen[eid] = True
-            a, b = int(boundary_pairs[eid][0]), int(boundary_pairs[eid][1])
-            v = b if v == a else a
-            e1, e2 = incident[v]
-            eid = e2 if e1 == eid else e1
-    return loops
+def _components(n, a, b):
+    """Label each of n nodes with the smallest node id of its component
+    under the undirected edges a[i] -- b[i].
 
-
-def _windings_consistent(nf, flat_ids, flat_signs, counts):
-    """Greedy propagation of triangle winding across 2-incident edges;
-    False when the propagation cannot 2-color the faces."""
-    slot_tri = np.repeat(np.arange(nf), 3)
-    order = np.argsort(flat_ids, kind="stable")
-    sorted_ids = flat_ids[order]
-    adj = [[] for _ in range(nf)]
-    pos = 0
-    while pos < len(order):
-        end = pos
-        while end < len(order) and sorted_ids[end] == sorted_ids[pos]:
-            end += 1
-        if end - pos == 2:
-            s1, s2 = order[pos], order[end - 1]
-            f1, f2 = int(slot_tri[s1]), int(slot_tri[s2])
-            rel = -int(flat_signs[s1]) * int(flat_signs[s2])
-            adj[f1].append((f2, rel))
-            adj[f2].append((f1, rel))
-        pos = end
-
-    orient = np.zeros(nf, dtype=np.int8)
-    for seed in range(nf):
-        if orient[seed]:
-            continue
-        orient[seed] = 1
-        stack = [seed]
-        while stack:
-            f = stack.pop()
-            for g, rel in adj[f]:
-                want = rel * orient[f]
-                if orient[g] == 0:
-                    orient[g] = want
-                    stack.append(g)
-                elif orient[g] != want:
-                    return False
-    return True
+    Hook and jump: every root whose edges reach a smaller root hooks onto
+    the smallest one, then pointer jumping flattens each tree to a star;
+    a round with nothing left to hook ends it.
+    """
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        split = la != lb
+        if not split.any():
+            return label
+        np.minimum.at(label, np.maximum(la, lb)[split], np.minimum(la, lb)[split])
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
 
 
 def mesh_invariants(mesh):
-    """Count V, E, F, trace boundary loops and decide orientability.
+    """Count V, E, F, boundary loops and decide orientability.
 
-    Orientability is decided by propagating a consistent winding across
-    every edge shared by two triangles; a propagation conflict means the
-    mesh is non-orientable. Edges with more than two incident triangles
-    raise NonManifoldEdgeError.
+    Orientability is read off the orientation double cover: each face has
+    two sheets, one per winding, and every edge shared by two faces links
+    the sheets whose windings agree across it. The mesh is orientable iff
+    no face has both sheets in one connected component. Boundary edges
+    (one incident face) must meet two at every vertex; the boundary loops
+    are their connected components. Edges with more than two incident
+    triangles raise NonManifoldEdgeError.
 
     Edge identity comes from the mesh's exact quotient classes when
-    present, otherwise from undirected welded-vertex pairs.
+    present (with edge signs of +1 or -1), otherwise from undirected
+    welded-vertex pairs.
     """
     verts = np.asarray(mesh.vertices)
     tris = np.asarray(mesh.triangles, dtype=np.int64)
@@ -452,6 +358,8 @@ def mesh_invariants(mesh):
 
     slot_verts = np.stack([tris[:, [0, 1, 2]].ravel(),
                            tris[:, [1, 2, 0]].ravel()], axis=1)
+    if (mesh.edge_ids is None) != (mesh.edge_signs is None):
+        raise ValueError("edge classes do not match the triangle list")
     if mesh.edge_ids is not None:
         flat_ids = np.asarray(mesh.edge_ids, dtype=np.int64).ravel()
         flat_signs = np.asarray(mesh.edge_signs, dtype=np.int64).ravel()
@@ -460,26 +368,40 @@ def mesh_invariants(mesh):
         ne = int(flat_ids.max()) + 1
         counts = np.bincount(flat_ids, minlength=ne)
     else:
-        pairs = np.sort(slot_verts, axis=1)
-        _, flat_ids, counts = np.unique(pairs, axis=0,
-                                        return_inverse=True, return_counts=True)
-        flat_ids = flat_ids.ravel()
+        lo, hi = slot_verts.min(axis=1), slot_verts.max(axis=1)
+        _, flat_ids, counts = np.unique(lo * nv + hi, return_inverse=True,
+                                        return_counts=True)
         flat_signs = np.where(slot_verts[:, 0] < slot_verts[:, 1], 1, -1)
         ne = len(counts)
 
+    # slots grouped by edge id, in slot order within each edge
+    by_edge = np.argsort(flat_ids, kind="stable")
+    end = np.cumsum(counts)
+    first = by_edge[end - counts]
     bad = np.nonzero(counts > 2)[0]
     if bad.size:
-        slot = int(np.nonzero(flat_ids == bad[0])[0][0])
-        raise NonManifoldEdgeError(slot_verts[slot], counts[bad[0]])
+        raise NonManifoldEdgeError(slot_verts[first[bad[0]]], counts[bad[0]])
 
-    first_slot = np.full(ne, -1, dtype=np.int64)
-    seen_order = np.argsort(flat_ids, kind="stable")
-    first_slot[flat_ids[seen_order[::-1]]] = seen_order[::-1]
-    boundary_ids = np.nonzero(counts == 1)[0]
-    boundary_pairs = [slot_verts[first_slot[e]] for e in boundary_ids]
-    loops = _trace_boundary_loops(boundary_pairs)
+    loops = 0
+    ends = slot_verts[first[counts == 1]]
+    if len(ends):
+        degree = np.bincount(ends.ravel(), minlength=nv)
+        odd = degree[ends.ravel()] != 2
+        if odd.any():
+            v = int(ends.ravel()[odd.argmax()])
+            raise ValueError(
+                f"boundary does not form closed loops: vertex {v} has "
+                f"{int(degree[v])} boundary edges")
+        loops = len(np.unique(_components(nv, ends[:, 0], ends[:, 1])[ends]))
 
-    orientable = _windings_consistent(nf, flat_ids, flat_signs, counts)
+    paired = counts == 2
+    s1, s2 = first[paired], by_edge[end[paired] - 1]
+    # sides traversed the same way: the two faces agree only with one flipped
+    flip = flat_signs[s1] == flat_signs[s2]
+    f1, f2 = 2 * (s1 // 3), 2 * (s2 // 3)
+    sheets = _components(2 * nf, np.concatenate([f1, f1 + 1]),
+                         np.concatenate([f2 + flip, f2 + 1 - flip]))
+    orientable = not np.any(sheets[0::2] == sheets[1::2])
     return MeshInvariants(nv, ne, nf, nv - ne + nf, loops, orientable)
 
 
@@ -495,9 +417,10 @@ def export_obj(mesh, sink):
     tris = np.asarray(mesh.triangles)
     if len(verts) == 0 or len(tris) == 0:
         raise ValueError("empty mesh")
-    lines = [f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in verts]
-    lines += [f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in tris]
-    payload = "".join(lines)
+    # a row without three entries raises the unpacking error of a per-row writer
+    (_, _, _), (_, _, _) = verts[0], tris[0]
+    payload = (("v %.17g %.17g %.17g\n" * len(verts)) % tuple(verts.ravel().tolist())
+               + ("f %s %s %s\n" * len(tris)) % tuple((tris + 1).ravel().tolist()))
     try:
         sink.write(payload.encode("ascii"))
     except TypeError:
@@ -509,6 +432,11 @@ def parse_obj(source):
 
     ``source`` may be an open stream, OBJ text (str or bytes containing a
     newline), or a filesystem path.
+
+    Every line is checked for its directive and field count before any
+    number is converted, so a malformed or unsupported line raises its
+    line-numbered ValueError even when an earlier line holds an invalid
+    number. Among invalid numbers, the first in line order raises.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -520,7 +448,7 @@ def parse_obj(source):
             text = fh.read()
     if isinstance(text, bytes):
         text = text.decode("ascii")
-    verts, tris = [], []
+    vtok, ftok = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
         if not parts or parts[0] == "#":
@@ -528,12 +456,28 @@ def parse_obj(source):
         if parts[0] == "v":
             if len(parts) != 4:
                 raise ValueError(f"line {lineno}: malformed vertex line {line!r}")
-            verts.append([float(p) for p in parts[1:]])
+            vtok += parts[1:]
         elif parts[0] == "f":
             if len(parts) != 4:
                 raise ValueError(f"line {lineno}: malformed face line {line!r}")
-            tris.append([int(p) - 1 for p in parts[1:]])
+            ftok += parts[1:]
         else:
             raise ValueError(f"line {lineno}: unsupported OBJ directive {parts[0]!r}")
-    return Mesh(vertices=np.asarray(verts, dtype=float),
-                triangles=np.asarray(tris, dtype=np.int64).reshape(-1, 3))
+    # numpy converts str tokens with Python float() and int()
+    try:
+        verts = np.array(vtok, dtype=float)
+        tris = np.array(ftok, dtype=np.int64)
+        if tris.size and tris.min() == np.iinfo(np.int64).min:
+            raise OverflowError("face index - 1 leaves int64")
+        tris -= 1
+    except (ValueError, OverflowError):
+        # convert token by token in line order: the first invalid number
+        # raises, and a face index whose 1-based shift leaves int64
+        # overflows only here
+        for parts in map(str.split, text.splitlines()):
+            if parts and parts[0] != "#":
+                for p in parts[1:]:
+                    (float if parts[0] == "v" else int)(p)
+        tris = np.asarray([int(p) - 1 for p in ftok], dtype=np.int64)
+    return Mesh(vertices=verts.reshape(-1, 3) if vtok else verts,
+                triangles=tris.reshape(-1, 3))

@@ -199,11 +199,50 @@ def test_orientability_against_exhaustive_oracle():
         assert inv.orientable == _orientable_by_exhaustion(mesh)
 
 
+def test_orientability_of_face_subsets_against_exhaustive_oracle():
+    rng = np.random.default_rng(12)
+    seen = set()
+    for scheme, n in itertools.product((T, P, M), (3, 4)):
+        mesh = build_mesh(scheme, n)
+        nf = len(mesh.triangles)
+        for _ in range(40):
+            faces = np.sort(rng.choice(nf, size=int(rng.integers(1, min(nf, 16) + 1)), replace=False))
+            for classes in (True, False):
+                sub = Mesh(vertices=mesh.vertices, triangles=mesh.triangles[faces],
+                           edge_ids=mesh.edge_ids[faces] if classes else None,
+                           edge_signs=mesh.edge_signs[faces] if classes else None)
+                try:
+                    inv = mesh_invariants(sub)
+                except ValueError:          # open boundary pinched at a vertex
+                    continue
+                assert inv.orientable == _orientable_by_exhaustion(sub)
+                seen.add(inv.orientable)
+    assert seen == {True, False}
+
+
 def test_single_triangle_invariants():
     mesh = Mesh(vertices=np.eye(3), triangles=np.array([[0, 1, 2]]))
     inv = mesh_invariants(mesh)
     assert (inv.V, inv.E, inv.F) == (3, 3, 1)
     assert inv.euler_char == 1 and inv.boundary_loops == 1 and inv.orientable
+
+
+def test_bow_tie_boundary_reported():
+    # two triangles sharing vertex 2: it meets four boundary edges
+    mesh = Mesh(vertices=np.arange(15.0).reshape(5, 3),
+                triangles=np.array([[0, 1, 2], [2, 3, 4]]))
+    with pytest.raises(ValueError, match="^boundary does not form closed loops: "
+                                         "vertex 2 has 4 boundary edges$"):
+        mesh_invariants(mesh)
+
+
+@pytest.mark.parametrize("given", ["edge_ids", "edge_signs"])
+def test_half_given_edge_classes_rejected(given):
+    mesh = build_mesh(T, 4)
+    half = Mesh(vertices=mesh.vertices, triangles=mesh.triangles,
+                **{given: getattr(mesh, given)})
+    with pytest.raises(ValueError, match="^edge classes do not match the triangle list$"):
+        mesh_invariants(half)
 
 
 def test_non_manifold_edge_reported():
@@ -258,6 +297,66 @@ def test_obj_roundtrip_exact_invariants():
 def test_obj_parse_rejects_garbage():
     with pytest.raises(ValueError, match="unsupported OBJ directive"):
         parse_obj("v 0 0 0\nvn 1 0 0\n")
+
+
+def _obj_per_line(mesh):
+    return "".join([f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in mesh.vertices]
+                   + [f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in mesh.triangles]).encode()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_obj_golden_bytes(dtype):
+    verts = np.array([[-0.0, 5e-324, 0.1], [1 / 3, 1e22, float(np.float32(0.1))],
+                      [2.0, -7.5, 1e-300]], dtype=dtype)
+    mesh = Mesh(vertices=verts, triangles=np.array([[0, 1, 2], [2, 1, 0]]))
+    sink = io.BytesIO()
+    export_obj(mesh, sink)
+    assert sink.getvalue() == _obj_per_line(mesh)
+    if dtype is np.float64:
+        assert sink.getvalue().splitlines()[:2] == [
+            b"v -0 4.9406564584124654e-324 0.10000000000000001",
+            b"v 0.33333333333333331 1e+22 0.10000000149011612"]
+
+
+def test_obj_export_matches_per_line_format_on_meshes():
+    for scheme in (T, P, M):
+        mesh = build_mesh(scheme, 7)
+        sink = io.BytesIO()
+        export_obj(mesh, sink)
+        assert sink.getvalue() == _obj_per_line(mesh)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("v 0 0 0\nv 1 0\n", "line 2: malformed vertex line 'v 1 0'"),
+    ("v 0 0 0\n\nf 1 1 1 1\n", "line 3: malformed face line 'f 1 1 1 1'"),
+    ("v 0 x 0\nf 1 2 y\n", "could not convert string to float: 'x'"),
+    ("f 1 2 y\nv 0 x 0\n", "invalid literal for int() with base 10: 'y'"),
+    # structure is checked for every line before any number is converted
+    ("v 0 x 0\nf 1 2\n", "line 2: malformed face line 'f 1 2'"),
+])
+def test_obj_parse_errors(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_obj(text)
+    assert str(err.value) == message
+
+
+def test_obj_parse_skips_comments_and_blank_lines():
+    mesh = parse_obj("# header\n\nv 0 0 0\n  \n# v 9 9\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+    assert mesh.vertices.tolist() == [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    assert mesh.triangles.dtype == np.int64 and mesh.triangles.tolist() == [[0, 1, 2]]
+
+
+def test_obj_parse_path_and_stream(tmp_path):
+    mesh = build_mesh(M, 5)
+    sink = io.BytesIO()
+    export_obj(mesh, sink)
+    path = tmp_path / "band.obj"
+    path.write_bytes(sink.getvalue())
+    for source in (str(path), path, io.BytesIO(sink.getvalue()),
+                   io.StringIO(sink.getvalue().decode())):
+        back = parse_obj(source)
+        assert np.array_equal(back.vertices, mesh.vertices)
+        assert np.array_equal(back.triangles, mesh.triangles)
 
 
 def test_obj_write_failure_propagates():

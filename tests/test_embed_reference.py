@@ -1,0 +1,278 @@
+"""The array mesh layer against a loop reference.
+
+The reference is the mesh code as first written: sliver welding through a
+signed union-find, orientability by propagating a winding face by face, and
+boundary loops traced edge by edge. The array code keeps every output, so
+meshes, invariants and error messages must match the reference exactly.
+"""
+import io
+
+import numpy as np
+import pytest
+
+from loopsurf.embed import (
+    Mesh,
+    NonManifoldEdgeError,
+    MeshInvariants,
+    _edge_orbit_keys,
+    _grid_class_keys,
+    build_mesh,
+    export_obj,
+    mesh_invariants,
+    parse_obj,
+)
+from loopsurf.pairspace import Scheme
+
+SIZES = list(range(3, 21)) + [64]
+
+
+class _SignedUnionFind:
+    """Union-find over edge-orbit keys carrying a relative direction sign."""
+
+    def __init__(self):
+        self.parent = {}
+        self.parity = {}
+
+    def find(self, k):
+        if k not in self.parent:
+            self.parent[k] = k
+            self.parity[k] = 1
+            return k, 1
+        path = []
+        while self.parent[k] != k:
+            path.append(k)
+            k = self.parent[k]
+        sign = 1
+        for node in reversed(path):
+            sign *= self.parity[node]
+            self.parent[node] = k
+            self.parity[node] = sign
+        return k, self.parity[path[0]] if path else 1
+
+    def find_sign(self, k):
+        root, _ = self.find(k)
+        return root, self.parity[k] if k != root else 1
+
+    def union(self, k1, k2, rel):
+        r1, s1 = self.find_sign(k1)
+        r2, s2 = self.find_sign(k2)
+        if r1 != r2:
+            self.parent[r2] = r1
+            self.parity[r2] = s1 * rel * s2
+
+
+def _mesh_reference(scheme, n):
+    """Triangles, weld map, edge ids and signs of build_mesh, with the
+    slivers welded one by one."""
+    keys = _grid_class_keys(scheme, n)
+    _, first_idx, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first_idx, kind="stable")
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    weld = rank[inverse.ravel()]
+
+    ci, cj = (g.ravel() for g in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
+    ci2, cj2 = np.repeat(ci, 2), np.repeat(cj, 2)
+    lower = np.arange(2 * n * n) % 2 == 0
+    corner_i = np.stack([ci2, ci2 + 1, np.where(lower, ci2 + 1, ci2)], axis=1)
+    corner_j = np.stack([cj2, np.where(lower, cj2, cj2 + 1), cj2 + 1], axis=1)
+    tris_all = weld[corner_i * (n + 1) + corner_j]
+    degenerate = ((tris_all[:, 0] == tris_all[:, 1]) | (tris_all[:, 1] == tris_all[:, 2])
+                  | (tris_all[:, 0] == tris_all[:, 2]))
+    keep = ~degenerate
+    if scheme is Scheme.MOBIUS_UNORDERED:
+        t = np.arange(2 * n * n)
+        keep &= t <= 2 * (cj2 * n + ci2) + (1 - t % 2)
+
+    pi, pj = corner_i.ravel(), corner_j.ravel()
+    qi, qj = corner_i[:, [1, 2, 0]].ravel(), corner_j[:, [1, 2, 0]].ravel()
+    ekey, esign = _edge_orbit_keys(scheme, n, pi, pj, qi, qj)
+    ekey, esign = ekey.reshape(-1, 3), esign.reshape(-1, 3)
+    if degenerate.any():
+        uf = _SignedUnionFind()
+        tail_flat = (np.where(esign.ravel() > 0, pi, qi) * (n + 1)
+                     + np.where(esign.ravel() > 0, pj, qj)).reshape(-1, 3)
+        for t in np.nonzero(degenerate)[0]:
+            wt = tris_all[t]
+            slots = [k for k in range(3) if wt[k] != wt[(k + 1) % 3]]
+            if len(slots) != 2:
+                continue
+            k1, k2 = slots
+            w_rep = wt[[k for k in range(3) if k not in slots][0]]
+            tail1 = weld[tail_flat[t, k1]] == w_rep
+            tail2 = weld[tail_flat[t, k2]] == w_rep
+            uf.union(int(ekey[t, k1]), int(ekey[t, k2]), 1 if tail1 == tail2 else -1)
+        found = [uf.find_sign(int(k)) for k in ekey.ravel()]
+        ekey = np.array([r for r, _ in found], dtype=np.int64).reshape(-1, 3)
+        esign = esign * np.array([s for _, s in found], dtype=np.int8).reshape(-1, 3)
+
+    ekey, esign = ekey[keep], esign[keep]
+    _, first_slot, inv_e = np.unique(ekey.ravel(), return_index=True, return_inverse=True)
+    order_e = np.argsort(first_slot, kind="stable")
+    rank_e = np.empty(len(order_e), dtype=np.int64)
+    rank_e[order_e] = np.arange(len(order_e))
+    return tris_all[keep], weld, rank_e[inv_e.ravel()].reshape(-1, 3), esign
+
+
+def _trace_boundary_loops(boundary_pairs):
+    """Number of closed loops formed by the given (a, b) boundary edges."""
+    if not len(boundary_pairs):
+        return 0
+    incident = {}
+    for eid, (a, b) in enumerate(boundary_pairs):
+        incident.setdefault(int(a), []).append(eid)
+        incident.setdefault(int(b), []).append(eid)
+    for v, eids in incident.items():
+        if len(eids) != 2:
+            raise ValueError(
+                f"boundary does not form closed loops: vertex {v} has "
+                f"{len(eids)} boundary edges")
+    loops = 0
+    seen = [False] * len(boundary_pairs)
+    for start in range(len(boundary_pairs)):
+        if seen[start]:
+            continue
+        loops += 1
+        eid = start
+        v = int(boundary_pairs[start][0])
+        while not seen[eid]:
+            seen[eid] = True
+            a, b = int(boundary_pairs[eid][0]), int(boundary_pairs[eid][1])
+            v = b if v == a else a
+            e1, e2 = incident[v]
+            eid = e2 if e1 == eid else e1
+    return loops
+
+
+def _windings_consistent(nf, flat_ids, flat_signs):
+    """Greedy propagation of triangle winding across 2-incident edges;
+    False when the propagation cannot 2-color the faces."""
+    slot_tri = np.repeat(np.arange(nf), 3)
+    order = np.argsort(flat_ids, kind="stable")
+    sorted_ids = flat_ids[order]
+    adj = [[] for _ in range(nf)]
+    pos = 0
+    while pos < len(order):
+        end = pos
+        while end < len(order) and sorted_ids[end] == sorted_ids[pos]:
+            end += 1
+        if end - pos == 2:
+            s1, s2 = order[pos], order[end - 1]
+            f1, f2 = int(slot_tri[s1]), int(slot_tri[s2])
+            rel = -int(flat_signs[s1]) * int(flat_signs[s2])
+            adj[f1].append((f2, rel))
+            adj[f2].append((f1, rel))
+        pos = end
+
+    orient = np.zeros(nf, dtype=np.int8)
+    for seed in range(nf):
+        if orient[seed]:
+            continue
+        orient[seed] = 1
+        stack = [seed]
+        while stack:
+            f = stack.pop()
+            for g, rel in adj[f]:
+                want = rel * orient[f]
+                if orient[g] == 0:
+                    orient[g] = want
+                    stack.append(g)
+                elif orient[g] != want:
+                    return False
+    return True
+
+
+def _invariants_reference(mesh):
+    verts = np.asarray(mesh.vertices)
+    tris = np.asarray(mesh.triangles, dtype=np.int64)
+    nv = len(verts)
+    if tris.size:
+        if tris.min() < 0 or tris.max() >= nv:
+            raise ValueError("triangle references an invalid vertex index")
+        if np.any((tris[:, 0] == tris[:, 1]) | (tris[:, 1] == tris[:, 2])
+                  | (tris[:, 0] == tris[:, 2])):
+            raise ValueError("degenerate triangle with repeated vertex")
+    nf = len(tris)
+    if nf == 0:
+        return MeshInvariants(nv, 0, 0, nv, 0, True)
+
+    slot_verts = np.stack([tris[:, [0, 1, 2]].ravel(), tris[:, [1, 2, 0]].ravel()], axis=1)
+    if mesh.edge_ids is not None:
+        flat_ids = np.asarray(mesh.edge_ids, dtype=np.int64).ravel()
+        flat_signs = np.asarray(mesh.edge_signs, dtype=np.int64).ravel()
+        if flat_ids.shape != (3 * nf,) or flat_signs.shape != (3 * nf,):
+            raise ValueError("edge classes do not match the triangle list")
+        ne = int(flat_ids.max()) + 1
+        counts = np.bincount(flat_ids, minlength=ne)
+    else:
+        pairs = np.sort(slot_verts, axis=1)
+        _, flat_ids, counts = np.unique(pairs, axis=0, return_inverse=True, return_counts=True)
+        flat_ids = flat_ids.ravel()
+        flat_signs = np.where(slot_verts[:, 0] < slot_verts[:, 1], 1, -1)
+        ne = len(counts)
+
+    bad = np.nonzero(counts > 2)[0]
+    if bad.size:
+        slot = int(np.nonzero(flat_ids == bad[0])[0][0])
+        raise NonManifoldEdgeError(slot_verts[slot], counts[bad[0]])
+
+    first_slot = np.full(ne, -1, dtype=np.int64)
+    seen_order = np.argsort(flat_ids, kind="stable")
+    first_slot[flat_ids[seen_order[::-1]]] = seen_order[::-1]
+    boundary_pairs = [slot_verts[first_slot[e]] for e in np.nonzero(counts == 1)[0]]
+    loops = _trace_boundary_loops(boundary_pairs)
+    orientable = _windings_consistent(nf, flat_ids, flat_signs)
+    return MeshInvariants(nv, ne, nf, nv - ne + nf, loops, orientable)
+
+
+def _outcome(fn, mesh):
+    try:
+        inv = fn(mesh)
+    except ValueError as e:
+        return type(e), str(e)
+    return inv, tuple(type(x) for x in vars(inv).values())
+
+
+def _assert_same_invariants(mesh):
+    assert _outcome(mesh_invariants, mesh) == _outcome(_invariants_reference, mesh)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_mesh_matches_union_find_welding(scheme):
+    for n in SIZES:
+        mesh = build_mesh(scheme, n)
+        got = (mesh.triangles, mesh.weld_map, mesh.edge_ids, mesh.edge_signs)
+        for a, b in zip(got, _mesh_reference(scheme, n)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_invariants_match_reference_on_built_and_parsed_meshes(scheme):
+    for n in SIZES:
+        mesh = build_mesh(scheme, n)
+        _assert_same_invariants(mesh)
+        sink = io.BytesIO()
+        export_obj(mesh, sink)
+        _assert_same_invariants(parse_obj(sink.getvalue()))
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_invariants_match_reference_on_face_subsets(scheme):
+    rng = np.random.default_rng(31)
+    outcomes = set()
+    for n in SIZES:
+        mesh = build_mesh(scheme, n)
+        nf = len(mesh.triangles)
+        for _ in range(4):
+            # contiguous runs of faces keep some subsets free of bow-tie boundaries
+            lo = int(rng.integers(nf))
+            faces = np.arange(lo, min(nf, lo + int(rng.integers(1, nf + 1))))
+            if rng.random() < 0.5:
+                faces = np.sort(rng.choice(nf, size=int(rng.integers(1, nf + 1)), replace=False))
+            for classes in (True, False):
+                sub = Mesh(vertices=mesh.vertices, triangles=mesh.triangles[faces],
+                           edge_ids=mesh.edge_ids[faces] if classes else None,
+                           edge_signs=mesh.edge_signs[faces] if classes else None)
+                _assert_same_invariants(sub)
+                outcomes.add(_outcome(mesh_invariants, sub)[0] is ValueError)
+    assert outcomes == {True, False}
