@@ -33,10 +33,8 @@ from .embed import (
 )
 from .edgeword import EdgeWord, SurfaceClass, canonical_name, classify, parse
 from .inscribed import (
-    ChordImage,
     NotFound,
     RectangleWitness,
-    chord_map,
     find_rectangle,
     verify_rectangle,
 )
@@ -49,8 +47,7 @@ __all__ = [
     "EmbedConfig", "Mesh", "MeshInvariants", "NonManifoldEdgeError",
     "embed", "build_mesh", "mesh_invariants", "export_obj", "parse_obj",
     "EdgeWord", "SurfaceClass", "parse", "classify", "canonical_name",
-    "ChordImage", "RectangleWitness", "NotFound",
-    "chord_map", "find_rectangle", "verify_rectangle",
+    "RectangleWitness", "NotFound", "find_rectangle", "verify_rectangle",
 ]
 
 __version__ = "0.1.0"

@@ -25,6 +25,13 @@ def mod1(t):
     return np.where(r >= 1.0, 0.0, r)
 
 
+def _locate(table, target):
+    """Segment index into the increasing table holding each target, and the
+    target's linear fraction along that segment."""
+    idx = np.clip(np.searchsorted(table, target, side="right") - 1, 0, len(table) - 2)
+    return idx, (target - table[idx]) / (table[idx + 1] - table[idx])
+
+
 def _raw_point(kind, params, vertices, arc_table, s):
     """Evaluate the underlying chart at raw parameter s in [0, 1]."""
     s = np.asarray(s, dtype=float)
@@ -46,10 +53,7 @@ def _raw_point(kind, params, vertices, arc_table, s):
     if kind == "polyline":
         # raw parameter is already the perimeter fraction: piecewise linear
         total = arc_table[-1]
-        target = np.clip(s * total, 0.0, total)
-        idx = np.clip(np.searchsorted(arc_table, target, side="right") - 1,
-                      0, len(arc_table) - 2)
-        frac = (target - arc_table[idx]) / (arc_table[idx + 1] - arc_table[idx])
+        idx, frac = _locate(arc_table, np.clip(s * total, 0.0, total))
         closed = np.vstack([vertices, vertices[:1]])
         lo = closed[idx]
         return lo + frac[..., None] * (closed[idx + 1] - lo)
@@ -96,11 +100,7 @@ class ClosedCurve:
         if self.uniform_speed:
             s = t
         else:
-            target = t * self.total_length
-            table = self.arc_table
-            idx = np.clip(np.searchsorted(table, target, side="right") - 1,
-                          0, len(table) - 2)
-            frac = (target - table[idx]) / (table[idx + 1] - table[idx])
+            idx, frac = _locate(self.arc_table, t * self.total_length)
             s = self.raw_knots[idx] + frac * (self.raw_knots[idx + 1] - self.raw_knots[idx])
         return _raw_point(self.kind, self.params, self.vertices, self.arc_table, s)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pairspace import Scheme, mobius_chart, quotient_point
+from .pairspace import Scheme, canonical_chart, quotient_point
 
 
 class NonManifoldEdgeError(ValueError):
@@ -120,6 +120,16 @@ def mobius_band_chart(m, d, cfg=EmbedConfig()):
                      s * cfg.w * np.sin(0.5 * t)], axis=-1)
 
 
+def _chart(scheme, u, v, pole, cfg):
+    """The scheme's chart at canonical coordinates (u, v), scalars or
+    arrays; points flagged as the pinched-sphere pole map to the origin."""
+    if scheme is Scheme.TORUS:
+        return torus_chart(u, v, cfg)
+    if scheme is Scheme.PINCHED_SPHERE:
+        return np.where(np.asarray(pole)[..., None], 0.0, pinched_sphere_chart(u, v, cfg))
+    return mobius_band_chart(u, v, cfg)
+
+
 def embed(scheme, q, cfg=EmbedConfig()):
     """Embed a single canonical quotient point into R^3.
 
@@ -129,13 +139,7 @@ def embed(scheme, q, cfg=EmbedConfig()):
     if q.scheme is not scheme:
         raise ValueError(f"point carries scheme {q.scheme.value!r}, expected {scheme.value!r}")
     q = quotient_point(scheme, q.u, q.v)
-    if scheme is Scheme.TORUS:
-        return torus_chart(q.u, q.v, cfg)
-    if scheme is Scheme.PINCHED_SPHERE:
-        if q.is_pole:
-            return np.zeros(3)
-        return pinched_sphere_chart(q.u, q.v, cfg)
-    return mobius_band_chart(q.u, q.v, cfg)
+    return _chart(scheme, q.u, q.v, q.is_pole, cfg)
 
 
 # ---------------------------------------------------------------------- meshes
@@ -197,6 +201,16 @@ def _edge_orbit_keys(scheme, n, pi, pj, qi, qj):
     return key, sign
 
 
+def _first_seen_ids(keys):
+    """The id of each key, numbering the distinct keys densely in order of
+    first occurrence, and the index at which each id first occurs."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return rank[inverse.ravel()], first[order]
+
+
 def build_mesh(scheme, n, cfg=EmbedConfig()):
     """Welded triangle mesh realizing the scheme's quotient.
 
@@ -211,26 +225,9 @@ def build_mesh(scheme, n, cfg=EmbedConfig()):
     """
     if n < 3:
         raise ValueError(f"grid resolution must be >= 3, got {n}")
-    keys = _grid_class_keys(scheme, n)
-    uniq, first_idx, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    inverse = inverse.ravel()
-    order = np.argsort(first_idx, kind="stable")
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    weld = rank[inverse]                      # grid flat index -> welded vertex
-    rep = first_idx[order]                    # welded vertex -> representative grid index
-
-    ri, rj = rep // (n + 1), rep % (n + 1)
-    if scheme is Scheme.TORUS:
-        verts = torus_chart((ri % n) / n, (rj % n) / n, cfg)
-    elif scheme is Scheme.PINCHED_SPHERE:
-        verts = pinched_sphere_chart(ri / n, (rj % n) / n, cfg)
-        verts[(ri % n) == 0] = 0.0            # collapsed-edge class -> pole
-    else:
-        a = np.minimum(ri % n, rj % n) / n
-        b = np.maximum(ri % n, rj % n) / n
-        m, d = mobius_chart(a, b)
-        verts = mobius_band_chart(m, d, cfg)
+    # grid flat index -> welded vertex -> representative grid index
+    weld, rep = _first_seen_ids(_grid_class_keys(scheme, n))
+    verts = _chart(scheme, *canonical_chart(scheme, rep // (n + 1) / n, rep % (n + 1) / n), cfg)
 
     # two triangles per cell, row-major cell order, fixed diagonal direction
     ci, cj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
@@ -285,25 +282,9 @@ def build_mesh(scheme, n, cfg=EmbedConfig()):
     ekey = ekey[keep]
     esign = esign[keep]
 
-    # dense edge ids in first-occurrence order over the kept slots
-    _, first_slot, inv_e = np.unique(ekey.ravel(), return_index=True, return_inverse=True)
-    order_e = np.argsort(first_slot, kind="stable")
-    rank_e = np.empty(len(order_e), dtype=np.int64)
-    rank_e[order_e] = np.arange(len(order_e))
-    edge_ids = rank_e[inv_e.ravel()].reshape(-1, 3)
-
-    # compact any unreferenced vertex classes (none for these schemes, but
-    # the mesh contract requires it)
-    used = np.zeros(len(verts), dtype=bool)
-    used[tris] = True
-    if not used.all():
-        remap = np.cumsum(used) - 1
-        verts = verts[used]
-        tris = remap[tris]
-        weld = remap[weld]
-
+    # every vertex class is a corner of a kept triangle, so none is unused
     return Mesh(vertices=verts, triangles=tris, weld_map=weld,
-                edge_ids=edge_ids, edge_signs=esign)
+                edge_ids=_first_seen_ids(ekey.ravel())[0].reshape(-1, 3), edge_signs=esign)
 
 
 def _components(n, a, b):
@@ -363,10 +344,11 @@ def mesh_invariants(mesh):
     if mesh.edge_ids is not None:
         flat_ids = np.asarray(mesh.edge_ids, dtype=np.int64).ravel()
         flat_signs = np.asarray(mesh.edge_signs, dtype=np.int64).ravel()
-        if flat_ids.shape != (3 * nf,) or flat_signs.shape != (3 * nf,):
+        if (flat_ids.shape != (3 * nf,) or flat_signs.shape != (3 * nf,)
+                or flat_ids.min() < 0):
             raise ValueError("edge classes do not match the triangle list")
-        ne = int(flat_ids.max()) + 1
-        counts = np.bincount(flat_ids, minlength=ne)
+        counts = np.bincount(flat_ids)
+        ne = int(np.count_nonzero(counts))     # class labels need not be dense
     else:
         lo, hi = slot_verts.min(axis=1), slot_verts.max(axis=1)
         _, flat_ids, counts = np.unique(lo * nv + hi, return_inverse=True,

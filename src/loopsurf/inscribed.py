@@ -1,10 +1,11 @@
 """Inscribed rectangles in closed curves via the unordered-pair chord map.
 
 An unordered pair of loop positions maps to (chord midpoint, chord
-half-length). The map factors through the unordered-pair band, so a
-self-intersection of its image -- two distinct pairs with equal midpoint
-and equal length -- certifies four concyclic-on-the-curve points whose
-diagonals bisect each other and have equal length: a rectangle.
+length); ``_images`` is this chord map, on arrays of pairs. The map
+factors through the unordered-pair band, so a self-intersection of its
+image -- two distinct pairs with equal midpoint and equal length --
+certifies four concyclic-on-the-curve points whose diagonals bisect each
+other and have equal length: a rectangle.
 """
 from __future__ import annotations
 
@@ -22,14 +23,6 @@ _SAMPLE_BLOCK = 1024
 _PAIR_BUDGET = 1 << 18
 _REFINE_BATCH = 32
 _REFINE_BATCH_CAP = 4096
-
-
-@dataclass(frozen=True)
-class ChordImage:
-    """Midpoint and half-length of the chord spanned by an unordered pair."""
-
-    midpoint: np.ndarray
-    half_length: float
 
 
 @dataclass(frozen=True)
@@ -77,16 +70,9 @@ class RectangleReport:
     passes: bool
 
 
-def chord_map(curve, pair):
-    """ChordImage of an unordered pair of loop positions."""
-    if pair.ordered:
-        raise ValueError("chord map takes unordered pairs")
-    image = _images(curve, pair.a, pair.b)
-    return ChordImage(midpoint=image[:2], half_length=float(0.5 * image[2]))
-
-
 def _images(curve, t1, t2):
-    """Vectorized (mid_x, mid_y, diagonal_length) image of pairs (t1, t2)."""
+    """The chord map: vectorized (mid_x, mid_y, diagonal_length) image of
+    pairs (t1, t2), equal for (t2, t1)."""
     p1 = curve.eval(np.asarray(t1, float))
     p2 = curve.eval(np.asarray(t2, float))
     mid = 0.5 * (p1 + p2)
@@ -205,6 +191,8 @@ def _seed_blocks(t1, t2, images, cell, capture, seed_gate, min_separation):
 
 
 def _make_witness(curve, theta):
+    # residuals written out: the batched norm of _residual_many rounds the
+    # diagonal lengths differently and can move length_residual by an ulp
     t = [float(x) for x in mod1(theta)]
     pair_a, pair_b = sorted([tuple(sorted(t[:2])), tuple(sorted(t[2:]))])
     pa, pb = curve.eval(np.asarray(pair_a)), curve.eval(np.asarray(pair_b))

@@ -118,41 +118,32 @@ def mobius_chart(x, y):
     return m, d
 
 
-def canonical_pair(scheme, x, y):
-    """Exact canonical square-coordinate representative of the class of
-    (x, y). Idempotent bit-for-bit; re-canonicalizing it reproduces the
-    same QuotientPoint exactly."""
+def canonical_chart(scheme, x, y):
+    """Canonical chart coordinates (u, v, pole) of the square points (x, y).
+
+    Works on scalars and arrays alike. For MOBIUS_UNORDERED the input is
+    the unordered pair of loop positions and (u, v) is the (m, d) chart;
+    pole flags the collapsed pinched-sphere edges, whose chart is (0, 0).
+    """
     _require_finite(x, y)
-    if scheme is Scheme.TORUS:
-        return float(mod1(x)), float(mod1(y))
     if scheme is Scheme.PINCHED_SPHERE:
-        xc = float(_pinched_clamp(x))
-        if xc == 0.0 or xc == 1.0:
-            return 0.0, 0.0
-        return xc, float(mod1(y))
-    x0, y0 = float(mod1(x)), float(mod1(y))
-    return (x0, y0) if x0 <= y0 else (y0, x0)
+        xc = _pinched_clamp(x)
+        pole = (xc == 0.0) | (xc == 1.0)
+        return np.where(pole, 0.0, xc), np.where(pole, 0.0, mod1(y)), pole
+    if scheme is Scheme.TORUS:
+        u, v = mod1(x), mod1(y)
+    elif scheme is Scheme.MOBIUS_UNORDERED:
+        u, v = mobius_chart(x, y)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return u, v, np.zeros(np.broadcast(u, v).shape, dtype=bool)
 
 
 def canonicalize(scheme, x, y):
     """Canonical representative of the square point (x, y) under the
-    scheme's gluings.
-
-    For MOBIUS_UNORDERED the input is the unordered pair of loop positions
-    and the result carries the (m, d) chart.
-    """
-    _require_finite(x, y)
-    if scheme is Scheme.TORUS:
-        return QuotientPoint(scheme, float(mod1(x)), float(mod1(y)))
-    if scheme is Scheme.PINCHED_SPHERE:
-        xc = float(_pinched_clamp(x))
-        if xc == 0.0 or xc == 1.0:
-            return QuotientPoint(scheme, 0.0, 0.0, is_pole=True)
-        return QuotientPoint(scheme, xc, float(mod1(y)))
-    if scheme is Scheme.MOBIUS_UNORDERED:
-        m, d = mobius_chart(x, y)
-        return QuotientPoint(scheme, float(m), float(d))
-    raise ValueError(f"unknown scheme {scheme!r}")
+    scheme's gluings (see canonical_chart)."""
+    u, v, pole = canonical_chart(scheme, x, y)
+    return QuotientPoint(scheme, float(u), float(v), bool(pole))
 
 
 def quotient_point(scheme, u, v):

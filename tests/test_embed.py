@@ -1,5 +1,6 @@
 import io
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,8 +163,8 @@ def test_weld_map_consistency():
 
 
 def test_mesh_vertices_all_referenced():
-    for scheme in (T, P, M):
-        mesh = build_mesh(scheme, 5)
+    for n, scheme in itertools.product(range(3, 13), (T, P, M)):
+        mesh = build_mesh(scheme, n)
         assert set(np.unique(mesh.triangles)) == set(range(len(mesh.vertices)))
 
 
@@ -243,6 +244,23 @@ def test_half_given_edge_classes_rejected(given):
                 **{given: getattr(mesh, given)})
     with pytest.raises(ValueError, match="^edge classes do not match the triangle list$"):
         mesh_invariants(half)
+
+
+@pytest.mark.parametrize("scheme", [T, P, M], ids=lambda s: s.value)
+def test_invariants_ignore_edge_class_labels(scheme):
+    # E counts the distinct classes, whatever integers label them
+    mesh = build_mesh(scheme, 8)
+    ids = mesh.edge_ids
+    perm = np.random.default_rng(5).permutation(ids.max() + 1)
+    want = mesh_invariants(mesh)
+    for labels in (2 * ids + 5, perm[ids]):
+        assert mesh_invariants(replace(mesh, edge_ids=labels)) == want
+
+
+def test_negative_edge_class_rejected():
+    mesh = build_mesh(T, 4)
+    with pytest.raises(ValueError, match="^edge classes do not match the triangle list$"):
+        mesh_invariants(replace(mesh, edge_ids=mesh.edge_ids - 1))
 
 
 def test_non_manifold_edge_reported():

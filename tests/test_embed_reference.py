@@ -1,9 +1,11 @@
 """The array mesh layer against a loop reference.
 
-The reference is the mesh code as first written: sliver welding through a
-signed union-find, orientability by propagating a winding face by face, and
-boundary loops traced edge by edge. The array code keeps every output, so
-meshes, invariants and error messages must match the reference exactly.
+The reference is the mesh code as first written: vertices from a chart
+block per scheme, sliver welding through a signed union-find, orientability
+by propagating a winding face by face, and boundary loops traced edge by
+edge. The array code keeps every output, so meshes, invariants and error
+messages must match the reference exactly. Both count E as the number of
+distinct edge-class labels.
 """
 import io
 
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 from loopsurf.embed import (
+    EmbedConfig,
     Mesh,
     NonManifoldEdgeError,
     MeshInvariants,
@@ -19,9 +22,12 @@ from loopsurf.embed import (
     build_mesh,
     export_obj,
     mesh_invariants,
+    mobius_band_chart,
     parse_obj,
+    pinched_sphere_chart,
+    torus_chart,
 )
-from loopsurf.pairspace import Scheme
+from loopsurf.pairspace import Scheme, mobius_chart
 
 SIZES = list(range(3, 21)) + [64]
 
@@ -114,6 +120,25 @@ def _mesh_reference(scheme, n):
     return tris_all[keep], weld, rank_e[inv_e.ravel()].reshape(-1, 3), esign
 
 
+def _vertices_reference(scheme, n, cfg=EmbedConfig()):
+    """Vertices of build_mesh from a chart block per scheme, on the grid
+    indices of each welded vertex's first grid occurrence."""
+    _, first_idx = np.unique(_grid_class_keys(scheme, n), return_index=True)
+    rep = first_idx[np.argsort(first_idx, kind="stable")]
+    ri, rj = rep // (n + 1), rep % (n + 1)
+    if scheme is Scheme.TORUS:
+        verts = torus_chart((ri % n) / n, (rj % n) / n, cfg)
+    elif scheme is Scheme.PINCHED_SPHERE:
+        verts = pinched_sphere_chart(ri / n, (rj % n) / n, cfg)
+        verts[(ri % n) == 0] = 0.0            # collapsed-edge class -> pole
+    else:
+        a = np.minimum(ri % n, rj % n) / n
+        b = np.maximum(ri % n, rj % n) / n
+        m, d = mobius_chart(a, b)
+        verts = mobius_band_chart(m, d, cfg)
+    return verts
+
+
 def _trace_boundary_loops(boundary_pairs):
     """Number of closed loops formed by the given (a, b) boundary edges."""
     if not len(boundary_pairs):
@@ -202,8 +227,8 @@ def _invariants_reference(mesh):
         flat_signs = np.asarray(mesh.edge_signs, dtype=np.int64).ravel()
         if flat_ids.shape != (3 * nf,) or flat_signs.shape != (3 * nf,):
             raise ValueError("edge classes do not match the triangle list")
-        ne = int(flat_ids.max()) + 1
-        counts = np.bincount(flat_ids, minlength=ne)
+        counts = np.bincount(flat_ids)
+        ne = int(np.count_nonzero(counts))     # labels of a face subset are sparse
     else:
         pairs = np.sort(slot_verts, axis=1)
         _, flat_ids, counts = np.unique(pairs, axis=0, return_inverse=True, return_counts=True)
@@ -216,7 +241,7 @@ def _invariants_reference(mesh):
         slot = int(np.nonzero(flat_ids == bad[0])[0][0])
         raise NonManifoldEdgeError(slot_verts[slot], counts[bad[0]])
 
-    first_slot = np.full(ne, -1, dtype=np.int64)
+    first_slot = np.full(len(counts), -1, dtype=np.int64)
     seen_order = np.argsort(flat_ids, kind="stable")
     first_slot[flat_ids[seen_order[::-1]]] = seen_order[::-1]
     boundary_pairs = [slot_verts[first_slot[e]] for e in np.nonzero(counts == 1)[0]]
@@ -244,6 +269,14 @@ def test_mesh_matches_union_find_welding(scheme):
         got = (mesh.triangles, mesh.weld_map, mesh.edge_ids, mesh.edge_signs)
         for a, b in zip(got, _mesh_reference(scheme, n)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_mesh_vertices_match_chart_block(scheme):
+    for n in SIZES:
+        got, want = build_mesh(scheme, n).vertices, _vertices_reference(scheme, n)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)

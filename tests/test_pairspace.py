@@ -7,7 +7,7 @@ from loopsurf.pairspace import (
     PairOnLoop,
     QuotientPoint,
     Scheme,
-    canonical_pair,
+    canonical_chart,
     canonicalize,
     decode,
     encode_pair,
@@ -246,18 +246,45 @@ def test_orbit_points_duplicate_free():
 # ---------------------------------------------------------------- properties
 
 def test_idempotence_exact():
-    # canonical square representatives are exactly idempotent, and
-    # canonicalize is exactly invariant on them (for torus / pinched sphere
-    # the representative coincides with the (u, v) chart)
+    # canonicalize is exactly invariant on the reduced square representative
+    # (both coordinates mod 1, the pinched pole at (0, 0), an unordered pair
+    # sorted); for torus / pinched sphere it coincides with the (u, v) chart
     rng = np.random.default_rng(31)
     pts = rng.uniform(-2, 3, size=(2000, 2))
     for scheme in (T, P, M):
         for x, y in pts:
             if scheme is P:
                 x = abs(x) % 1.0
-            rep = canonical_pair(scheme, x, y)
-            assert canonical_pair(scheme, *rep) == rep
-            assert canonicalize(scheme, *rep) == canonicalize(scheme, x, y)
+            rep = (float(mod1(x)), float(mod1(y)))
+            if scheme is P and rep[0] == 0.0:
+                rep = (0.0, 0.0)
+            if scheme is M:
+                rep = tuple(sorted(rep))
+            q = canonicalize(scheme, x, y)
+            assert canonicalize(scheme, *rep) == q
+            if scheme is not M:
+                assert (q.u, q.v) == rep
+
+
+def test_canonical_chart_on_arrays_matches_scalar_canonicalize():
+    # bit for bit, including -0.0, pinched poles, slack overshoot and the
+    # antipodal tie d = 1/4 of the unordered pairs
+    rng = np.random.default_rng(35)
+    grid = np.arange(9) / 8
+    edge = np.array([0.0, -0.0, 1.0, 0.5, -1e-17, 1e-17, 1.0 - 1e-16, -1e-13, 1.0 + 1e-13])
+    x = np.concatenate([np.repeat(grid, 9), edge, edge, rng.random(300)])
+    y = np.concatenate([np.tile(grid, 9), edge, edge + 0.5, rng.uniform(-2, 3, 300)])
+    wide = rng.uniform(-2, 3, (2, 300))
+    for scheme in (T, P, M):
+        xs, ys = (x, y) if scheme is P else (np.append(x, wide[0]), np.append(y, wide[1]))
+        u, v, pole = canonical_chart(scheme, xs, ys)
+        for k in range(len(xs)):
+            q = canonicalize(scheme, xs[k], ys[k])
+            assert np.array([q.u, q.v]).tobytes() == np.array([u[k], v[k]]).tobytes()
+            assert q.is_pole == pole[k]
+        assert pole.any() == (scheme is P)
+        if scheme is M:
+            assert np.any(v == 0.25)
 
 
 def test_mobius_swap_invariance_exact():
