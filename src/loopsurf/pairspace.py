@@ -11,11 +11,16 @@ gluing. Canonical coordinates depend on the scheme:
                       midpoint of the shorter arc between the two positions
                       and d in [0, 1/4] the half separation. The antipodal
                       tie d = 1/4 keeps m in [0, 1/2).
+
+Python floats (np.float64 included) take a float path built on builtins
+and math, and everything else takes numpy; both give the same bits.
 """
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -52,7 +57,8 @@ class QuotientPoint:
 
 @dataclass(frozen=True)
 class PairOnLoop:
-    """A pair of loop positions, each reduced mod 1 on construction.
+    """A pair of loop positions, each reduced mod 1 on construction
+    (non-finite positions are rejected).
 
     For unordered pairs, (a, b) and (b, a) denote the same value; the
     identification is enforced by canonicalization, not by storage.
@@ -63,8 +69,10 @@ class PairOnLoop:
     ordered: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "a", float(mod1(self.a)))
-        object.__setattr__(self, "b", float(mod1(self.b)))
+        ops = _ops(self.a, self.b)
+        _require_finite(ops, self.a, self.b)
+        object.__setattr__(self, "a", float(ops.mod1(self.a)))
+        object.__setattr__(self, "b", float(ops.mod1(self.b)))
 
 
 @dataclass(frozen=True)
@@ -80,21 +88,58 @@ class Orbit:
         return len(self.edges) > 0
 
 
-def _require_finite(*vals):
+def _float_mod1(t):
+    r = t % 1.0  # float % rounds as np.mod does, sign of zero included
+    return 0.0 if r >= 1.0 else r
+
+
+# The helpers below are written once against one of two operation sets:
+# numpy, and builtins for Python floats, where numpy's overhead on 0-d
+# arrays dwarfs the arithmetic. The float set gives numpy's bits: minimum
+# and maximum pass NaN on and keep numpy's operand on ties (+0.0 vs -0.0),
+# and hypot stays numpy's (libm's), because math.hypot rounds differently.
+_ARRAY = SimpleNamespace(
+    asarray=lambda x: np.asarray(x, dtype=float), mod1=mod1,
+    where=np.where, minimum=np.minimum, maximum=np.maximum, clip=np.clip,
+    abs=np.abs, hypot=np.hypot, any=np.any, all=np.all,
+    isfinite=lambda v: np.all(np.isfinite(v)),
+    no_pole=lambda u, v: np.zeros(np.broadcast(u, v).shape, dtype=bool),
+    scalar=lambda out: out if out.ndim else float(out))
+_FLOAT = SimpleNamespace(
+    asarray=float, mod1=_float_mod1,
+    where=lambda c, a, b: a if c else b,
+    minimum=lambda a, b: a if a < b or a != a else b,
+    maximum=lambda a, b: a if a > b or a != a else b,
+    clip=lambda x, lo, hi: lo if x < lo else hi if x > hi else x,
+    abs=abs, hypot=np.hypot, any=bool, all=bool,
+    isfinite=math.isfinite,
+    no_pole=lambda u, v: False,
+    scalar=float)
+
+
+def _ops(*vals):
+    """The float operations if every value is a Python float, else numpy."""
     for v in vals:
-        if not np.all(np.isfinite(v)):
+        if not isinstance(v, float):
+            return _ARRAY
+    return _FLOAT
+
+
+def _require_finite(ops, *vals):
+    for v in vals:
+        if not ops.isfinite(v):
             raise ValueError(f"non-finite coordinate {v!r}")
 
 
-def _pinched_clamp(x):
+def _pinched_clamp(ops, x):
     """Clamp the non-periodic coordinate onto [0, 1], rejecting overshoot
     beyond _EDGE_SLACK."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < -_EDGE_SLACK) or np.any(x > 1.0 + _EDGE_SLACK):
+    x = ops.asarray(x)
+    if ops.any(x < -_EDGE_SLACK) or ops.any(x > 1.0 + _EDGE_SLACK):
         raise ValueError(
             "pinched-sphere first coordinate must lie in [0, 1] "
             f"(got {float(np.min(x))!r}..{float(np.max(x))!r})")
-    return np.clip(x, 0.0, 1.0)
+    return ops.clip(x, 0.0, 1.0)
 
 
 def mobius_chart(x, y):
@@ -104,39 +149,42 @@ def mobius_chart(x, y):
     d = half the shorter-arc separation. Exactly swap-invariant: the pair
     is sorted before any arithmetic.
     """
-    x0 = mod1(np.asarray(x, dtype=float))
-    y0 = mod1(np.asarray(y, dtype=float))
-    a = np.minimum(x0, y0)
-    b = np.maximum(x0, y0)
+    ops = _ops(x, y)
+    x0 = ops.mod1(ops.asarray(x))
+    y0 = ops.mod1(ops.asarray(y))
+    a = ops.minimum(x0, y0)
+    b = ops.maximum(x0, y0)
     f = b - a
     short = f <= 0.5
-    m = np.where(short, a + 0.5 * f, mod1(b + 0.5 * (1.0 - f)))
-    d = np.where(short, 0.5 * f, 0.5 * (1.0 - f))
-    m = mod1(m)
+    m = ops.where(short, a + 0.5 * f, ops.mod1(b + 0.5 * (1.0 - f)))
+    d = ops.where(short, 0.5 * f, 0.5 * (1.0 - f))
+    m = ops.mod1(m)
     tie = (f == 0.5) & (m >= 0.5)
-    m = np.where(tie, m - 0.5, m)
+    m = ops.where(tie, m - 0.5, m)
     return m, d
 
 
 def canonical_chart(scheme, x, y):
     """Canonical chart coordinates (u, v, pole) of the square points (x, y).
 
-    Works on scalars and arrays alike. For MOBIUS_UNORDERED the input is
+    Works on scalars and arrays alike: Python floats take the float path,
+    and everything else takes numpy. For MOBIUS_UNORDERED the input is
     the unordered pair of loop positions and (u, v) is the (m, d) chart;
     pole flags the collapsed pinched-sphere edges, whose chart is (0, 0).
     """
-    _require_finite(x, y)
+    ops = _ops(x, y)
+    _require_finite(ops, x, y)
     if scheme is Scheme.PINCHED_SPHERE:
-        xc = _pinched_clamp(x)
+        xc = _pinched_clamp(ops, x)
         pole = (xc == 0.0) | (xc == 1.0)
-        return np.where(pole, 0.0, xc), np.where(pole, 0.0, mod1(y)), pole
+        return ops.where(pole, 0.0, xc), ops.where(pole, 0.0, ops.mod1(y)), pole
     if scheme is Scheme.TORUS:
-        u, v = mod1(x), mod1(y)
+        u, v = ops.mod1(x), ops.mod1(y)
     elif scheme is Scheme.MOBIUS_UNORDERED:
         u, v = mobius_chart(x, y)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    return u, v, np.zeros(np.broadcast(u, v).shape, dtype=bool)
+    return u, v, ops.no_pole(u, v)
 
 
 def canonicalize(scheme, x, y):
@@ -149,7 +197,7 @@ def canonicalize(scheme, x, y):
 def quotient_point(scheme, u, v):
     """Validated QuotientPoint from canonical coordinates (for callers that
     already hold chart values, e.g. decode). Rejects non-canonical input."""
-    _require_finite(u, v)
+    _require_finite(_ops(u, v), u, v)
     u, v = float(u), float(v)
     if scheme is Scheme.TORUS:
         if not (0.0 <= u < 1.0 and 0.0 <= v < 1.0):
@@ -174,13 +222,13 @@ def quotient_point(scheme, u, v):
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _circ_diff(a, b):
-    d = np.abs(mod1(a) - mod1(b))
-    return np.minimum(d, 1.0 - d)
+def _circ_diff(ops, a, b):
+    d = ops.abs(ops.mod1(a) - ops.mod1(b))
+    return ops.minimum(d, 1.0 - d)
 
 
-def _torus_dist(x1, y1, x2, y2):
-    return np.hypot(_circ_diff(x1, x2), _circ_diff(y1, y2))
+def _torus_dist(ops, x1, y1, x2, y2):
+    return ops.hypot(_circ_diff(ops, x1, x2), _circ_diff(ops, y1, y2))
 
 
 def quotient_distance(scheme, p1, p2):
@@ -189,22 +237,23 @@ def quotient_distance(scheme, p1, p2):
     p1 and p2 are (x, y) square coordinates (scalars or broadcastable
     arrays). Symmetric; zero exactly when the classes coincide.
     """
-    x1, y1 = np.asarray(p1[0], float), np.asarray(p1[1], float)
-    x2, y2 = np.asarray(p2[0], float), np.asarray(p2[1], float)
-    _require_finite(x1, y1, x2, y2)
+    coords = (p1[0], p1[1], p2[0], p2[1])
+    ops = _ops(*coords)
+    x1, y1, x2, y2 = map(ops.asarray, coords)
+    _require_finite(ops, x1, y1, x2, y2)
     if scheme is Scheme.TORUS:
-        out = _torus_dist(x1, y1, x2, y2)
+        out = _torus_dist(ops, x1, y1, x2, y2)
     elif scheme is Scheme.MOBIUS_UNORDERED:
-        out = np.minimum(_torus_dist(x1, y1, x2, y2),
-                         _torus_dist(x1, y1, y2, x2))
+        out = ops.minimum(_torus_dist(ops, x1, y1, x2, y2),
+                          _torus_dist(ops, x1, y1, y2, x2))
     elif scheme is Scheme.PINCHED_SPHERE:
-        x1c, x2c = _pinched_clamp(x1), _pinched_clamp(x2)
-        direct = np.hypot(x1c - x2c, _circ_diff(y1, y2))
-        via_pole = np.minimum(x1c, 1.0 - x1c) + np.minimum(x2c, 1.0 - x2c)
-        out = np.minimum(direct, via_pole)
+        x1c, x2c = _pinched_clamp(ops, x1), _pinched_clamp(ops, x2)
+        direct = ops.hypot(x1c - x2c, _circ_diff(ops, y1, y2))
+        via_pole = ops.minimum(x1c, 1.0 - x1c) + ops.minimum(x2c, 1.0 - x2c)
+        out = ops.minimum(direct, via_pole)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    return out if out.ndim else float(out)
+    return ops.scalar(out)
 
 
 def equivalent(scheme, p1, p2, tol=DEFAULT_TOL):
@@ -212,7 +261,8 @@ def equivalent(scheme, p1, p2, tol=DEFAULT_TOL):
     quotient distance tol."""
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    return bool(np.all(quotient_distance(scheme, p1, p2) <= tol))
+    d = quotient_distance(scheme, p1, p2)
+    return bool(_ops(d).all(d <= tol))
 
 
 def encode_pair(scheme, pair):
@@ -244,7 +294,7 @@ def decode(q):
         if q.is_pole:
             return PairOnLoop(0.0, 0.0, ordered=True)
         return PairOnLoop(q.u, q.v, ordered=True)
-    return PairOnLoop(float(mod1(q.u - q.v)), float(mod1(q.u + q.v)), ordered=False)
+    return PairOnLoop(q.u - q.v, q.u + q.v, ordered=False)
 
 
 def _edge_partners(c):
@@ -260,7 +310,7 @@ def _edge_partners(c):
 def orbit(scheme, x, y):
     """All representatives of the class of (x, y) within the closed unit
     square, or the collapsed-edge descriptor for the pinched-sphere pole."""
-    _require_finite(x, y)
+    _require_finite(_ops(x, y), x, y)
     x, y = float(x), float(y)
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise ValueError(f"orbit input must lie in the closed unit square, got ({x!r}, {y!r})")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,21 @@ def test_pinched_out_of_range():
 def test_non_finite_rejected():
     with pytest.raises(ValueError, match="non-finite"):
         canonicalize(T, np.nan, 0.5)
+    # scalar distances name the coordinate as given, like canonicalize
+    for scheme in (T, P, M):
+        with pytest.raises(ValueError, match=r"non-finite coordinate inf$"):
+            quotient_distance(scheme, (0.5, 0.5), (np.inf, 0.5))
+        with pytest.raises(ValueError, match=r"non-finite coordinate nan$"):
+            equivalent(scheme, (0.5, np.nan), (0.5, 0.5))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_pair_on_loop_rejects_non_finite(bad):
+    # named as given, not turned into nan by the mod-1 reduction
+    for a, b in ((bad, 0.2), (0.2, bad)):
+        for ordered in (True, False):
+            with pytest.raises(ValueError, match=re.escape(f"non-finite coordinate {bad!r}")):
+                PairOnLoop(a, b, ordered=ordered)
 
 
 # ---------------------------------------------------------------- equivalence
@@ -99,13 +116,21 @@ def test_pinched_pole_class_distance_zero():
 
 
 def test_distance_symmetry_exact():
+    # and each scalar call (the float path) gives the array's bits
     rng = np.random.default_rng(11)
+    edge = np.array([[0.0, 0.3], [-0.0, 0.3], [1.0, 0.3], [1.0 + 1e-13, -0.0],
+                     [-1e-13, 1.0], [0.5, 1e-17], [0.25, 0.75], [0.75, 0.25]])
     for scheme in (T, P, M):
-        p = rng.random((100, 2))
-        q = rng.random((100, 2))
+        p = np.concatenate([rng.random((100, 2)), edge, edge])
+        q = np.concatenate([rng.random((100, 2)), edge, edge[::-1]])
         d1 = quotient_distance(scheme, (p[:, 0], p[:, 1]), (q[:, 0], q[:, 1]))
         d2 = quotient_distance(scheme, (q[:, 0], q[:, 1]), (p[:, 0], p[:, 1]))
         assert np.array_equal(d1, d2)
+        for k in range(len(p)):
+            d = quotient_distance(scheme, tuple(p[k].tolist()), tuple(q[k].tolist()))
+            assert type(d) is float
+            assert np.float64(d).tobytes() == d1[k].tobytes()
+            assert equivalent(scheme, tuple(p[k].tolist()), tuple(q[k].tolist())) == (d1[k] <= 1e-9)
 
 
 def test_distance_triangle_inequality():
@@ -267,11 +292,13 @@ def test_idempotence_exact():
 
 
 def test_canonical_chart_on_arrays_matches_scalar_canonicalize():
-    # bit for bit, including -0.0, pinched poles, slack overshoot and the
-    # antipodal tie d = 1/4 of the unordered pairs
+    # Python floats and np.float64 (the float path) and 0-d arrays give the
+    # bits of the array path, including -0.0, +-1e-17, slack overshoot,
+    # pinched poles and the antipodal tie d = 1/4 of the unordered pairs
     rng = np.random.default_rng(35)
     grid = np.arange(9) / 8
-    edge = np.array([0.0, -0.0, 1.0, 0.5, -1e-17, 1e-17, 1.0 - 1e-16, -1e-13, 1.0 + 1e-13])
+    edge = np.array([0.0, -0.0, 1.0, 0.5, -1e-17, 1e-17, 1.0 - 1e-16, -1e-13, 1.0 + 1e-13,
+                     1e-13, 1.0 - 1e-13, 0.25, 0.75])
     x = np.concatenate([np.repeat(grid, 9), edge, edge, rng.random(300)])
     y = np.concatenate([np.tile(grid, 9), edge, edge + 0.5, rng.uniform(-2, 3, 300)])
     wide = rng.uniform(-2, 3, (2, 300))
@@ -279,12 +306,30 @@ def test_canonical_chart_on_arrays_matches_scalar_canonicalize():
         xs, ys = (x, y) if scheme is P else (np.append(x, wide[0]), np.append(y, wide[1]))
         u, v, pole = canonical_chart(scheme, xs, ys)
         for k in range(len(xs)):
-            q = canonicalize(scheme, xs[k], ys[k])
-            assert np.array([q.u, q.v]).tobytes() == np.array([u[k], v[k]]).tobytes()
-            assert q.is_pole == pole[k]
+            for a, b in ((float(xs[k]), float(ys[k])), (xs[k], ys[k]),
+                         (np.array(xs[k]), np.array(ys[k]))):
+                q = canonicalize(scheme, a, b)
+                assert type(q.u) is float and type(q.v) is float and type(q.is_pole) is bool
+                assert np.array([q.u, q.v]).tobytes() == np.array([u[k], v[k]]).tobytes()
+                assert q.is_pole == pole[k]
         assert pole.any() == (scheme is P)
         if scheme is M:
             assert np.any(v == 0.25)
+        for a, b in ((0, 1), (1, 0), (1, 1), (0, 0)):   # ints take numpy
+            assert canonicalize(scheme, a, b) == canonicalize(scheme, float(a), float(b))
+        # the same rejections, naming the value as given
+        for bad in (np.nan, np.inf, -np.inf):
+            for c in (bad, np.float64(bad), np.array(bad)):
+                with pytest.raises(ValueError, match=re.escape(f"non-finite coordinate {c!r}")):
+                    canonicalize(scheme, 0.25, c)
+            with pytest.raises(ValueError, match=re.escape("non-finite coordinate array([0.25, ")):
+                canonical_chart(scheme, np.array([0.25, bad]), np.zeros(2))
+    for over in (1.0 + 1e-11, -1e-11):
+        for c in (over, np.float64(over), np.array(over)):
+            with pytest.raises(ValueError, match=re.escape(f"(got {over!r}..{over!r})")):
+                canonicalize(P, c, 0.5)
+        with pytest.raises(ValueError, match=re.escape(f"(got {min(over, 0.5)!r}..{max(over, 0.5)!r})")):
+            canonical_chart(P, np.array([0.5, over]), np.zeros(2))
 
 
 def test_mobius_swap_invariance_exact():
