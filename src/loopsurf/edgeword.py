@@ -4,6 +4,11 @@ A word lists the edge labels read around a single polygon: lowercase means
 the edge is traversed along its arrow, uppercase against it ("abAB" is
 a b a^-1 b^-1). Labels occurring twice are glued; labels occurring once are
 free boundary edges.
+
+``classify`` names the glued surface from its Euler characteristic,
+orientability and boundary circles. It finds the vertices and the boundary
+circles with one union-find over the ends of the polygon's sides, whose
+components are the links of the vertices.
 """
 from __future__ import annotations
 
@@ -15,6 +20,14 @@ class EdgeWord:
     """Ordered (label, exponent) letters; each label occurs at most twice."""
 
     letters: tuple
+
+    def __post_init__(self):
+        counts = {}
+        for label, _ in self.letters:
+            counts[label] = counts.get(label, 0) + 1
+        for label, k in counts.items():
+            if k > 2:
+                raise ValueError(f"label '{label}' appears {k} times")
 
     def __len__(self):
         return len(self.letters)
@@ -55,95 +68,26 @@ def parse(text):
         letters.append((ch.lower(), 1 if ch.islower() else -1))
     if not letters:
         raise ValueError("empty word")
-    counts = {}
-    for label, _ in letters:
-        counts[label] = counts.get(label, 0) + 1
-    for label, k in counts.items():
-        if k > 2:
-            raise ValueError(f"label '{label}' appears {k} times")
     return EdgeWord(letters=tuple(letters))
-
-
-def _occurrences(word):
-    occ = {}
-    for k, (label, e) in enumerate(word.letters):
-        occ.setdefault(label, []).append((k, e))
-    return occ
-
-
-def _corner_of_endpoint(side, exp, which, n):
-    """Polygon corner carrying the given label endpoint of a side.
-
-    Side k runs from corner k to corner k+1; exponent +1 means the side is
-    traversed from the label's start to its end.
-    """
-    if which == "start":
-        return side if exp > 0 else (side + 1) % n
-    return (side + 1) % n if exp > 0 else side
-
-
-def _endpoint_of_corner(side, exp, corner, n):
-    if corner == side:  # tail of the side
-        return "start" if exp > 0 else "end"
-    return "end" if exp > 0 else "start"
-
-
-def _chain_to_free_side(corner, cross, word, partner, n):
-    """Rotate around the vertex at ``corner``, crossing glued sides starting
-    with ``cross``, until a free side is reached. Returns (side, end) with
-    end 0 at the side's tail corner, 1 at its head."""
-    letters = word.letters
-    for _ in range(2 * n + 1):
-        if partner[cross] is None:
-            return (cross, 0 if corner == cross else 1)
-        other = partner[cross]
-        which = _endpoint_of_corner(cross, letters[cross][1], corner, n)
-        corner = _corner_of_endpoint(other, letters[other][1], which, n)
-        cross = (corner - 1) % n if other == corner else corner
-    raise AssertionError("vertex star walk did not terminate")
-
-
-def _boundary_count(word, partner, n):
-    free = [k for k in range(n) if partner[k] is None]
-    if not free:
-        return 0
-    chain = {}
-    for s in free:
-        chain[(s, 0)] = _chain_to_free_side(s, (s - 1) % n, word, partner, n)
-        chain[(s, 1)] = _chain_to_free_side((s + 1) % n, (s + 1) % n, word, partner, n)
-    loops = 0
-    visited = set()
-    for start in sorted(chain):
-        if start in visited:
-            continue
-        loops += 1
-        cur = start
-        while cur not in visited:
-            visited.add(cur)
-            nxt = chain[cur]
-            visited.add(nxt)
-            cur = (nxt[0], 1 - nxt[1])  # continue along the free side
-    return loops
 
 
 def classify(word):
     """Surface of the single polygon whose boundary reads the word.
 
-    V counts corner classes traced through the edge gluings, E the distinct
-    labels, F the one face. Free labels contribute boundary circles; a
-    label glued to itself with equal exponents kills orientability.
+    V and the boundary circles are read off one graph, the vertex links
+    of the glued polygon. Node 2k + h is end h of side k (0 = tail at
+    corner k, 1 = head at corner k + 1). Corner k joins nodes 2k - 1 and
+    2k, and each glued pair of sides joins its label-matched ends. Each
+    component is the link of one vertex, so V counts them; E counts the
+    labels and F = 1. The link of a boundary vertex is a path whose two
+    ends lie on free sides, so once an edge is added across each free
+    side, each boundary circle is one component that holds a free side.
+    A label glued with equal exponents on both sides kills orientability.
     """
     n = len(word.letters)
-    occ = _occurrences(word)
-
-    partner = [None] * n
-    for pairs in occ.values():
-        if len(pairs) == 2:
-            (k1, _), (k2, _) = pairs
-            partner[k1], partner[k2] = k2, k1
-
-    # corner classes by union-find over the gluing transitions
-    parent = list(range(n))
+    # the corners are joined from the start: tail node 2k begins under
+    # head node 2k - 1
+    parent = [(i - 1) % (2 * n) if i % 2 == 0 else i for i in range(2 * n)]
 
     def find(i):
         while parent[i] != i:
@@ -151,25 +95,24 @@ def classify(word):
             i = parent[i]
         return i
 
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
+    def join(i, j):
+        parent[find(i)] = find(j)
 
-    for pairs in occ.values():
-        if len(pairs) == 2:
-            (k1, e1), (k2, e2) = pairs
-            union(_corner_of_endpoint(k1, e1, "start", n),
-                  _corner_of_endpoint(k2, e2, "start", n))
-            union(_corner_of_endpoint(k1, e1, "end", n),
-                  _corner_of_endpoint(k2, e2, "end", n))
+    sides = {}
+    for k, (label, e) in enumerate(word.letters):
+        sides.setdefault(label, []).append((k, e))
+    glued = [p for p in sides.values() if len(p) == 2]
+    for (k1, e1), (k2, e2) in glued:
+        join(2 * k1 + (e1 < 0), 2 * k2 + (e2 < 0))    # label starts
+        join(2 * k1 + (e1 > 0), 2 * k2 + (e2 > 0))    # label ends
+    v = len({find(2 * k + 1) for k in range(n)})    # one head node per corner
+    free = [p[0][0] for p in sides.values() if len(p) == 1]
+    for k in free:
+        join(2 * k, 2 * k + 1)
+    boundary = len({find(2 * k) for k in free})
 
-    v = len({find(i) for i in range(n)})
-    e = len(occ)
-    chi = v - e + 1
-    orientable = all(not (len(p) == 2 and p[0][1] == p[1][1]) for p in occ.values())
-    boundary = _boundary_count(word, partner, n)
-
+    chi = v - len(sides) + 1
+    orientable = all(e1 != e2 for (_, e1), (_, e2) in glued)
     capped = chi + boundary
     genus = (2 - capped) // 2 if orientable else 2 - capped
     genus = max(genus, 0)

@@ -49,21 +49,19 @@ class Mesh:
     ``weld_map`` maps the original row-major grid index to the welded
     vertex index (None for meshes not built from a grid).
 
-    ``edge_ids`` / ``edge_signs`` (grid meshes only) carry the exact
-    quotient identity of each triangle side: slot k of triangle f is the
-    edge from vertex k to vertex (k+1)%3, edge_ids[f, k] its equivalence
-    class and edge_signs[f, k] the traversal direction relative to the
-    class representative. At coarse resolutions distinct quotient edges can
-    join the same pair of welded vertices, so vertex pairs alone would
-    under-count E; invariants fall back to vertex pairs when these fields
-    are absent (e.g. meshes re-parsed from OBJ).
+    ``edge_ids`` (grid meshes only) carries the exact quotient identity
+    of each triangle side: slot k of triangle f is the edge from vertex k
+    to vertex (k+1)%3, and edge_ids[f, k] is its equivalence class. At
+    coarse resolutions distinct quotient edges can join the same pair of
+    welded vertices, so vertex pairs alone would under-count E; invariants
+    fall back to vertex pairs when the field is absent (e.g. meshes
+    re-parsed from OBJ).
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     weld_map: np.ndarray | None = None
     edge_ids: np.ndarray | None = None
-    edge_signs: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -169,14 +167,11 @@ _SWAPPED_DIR = np.array([1, 0, 2])  # horizontal <-> vertical, diagonal fixed
 
 
 def _edge_orbit_keys(scheme, n, pi, pj, qi, qj):
-    """Canonical orbit key and traversal sign for grid edges (vectorized).
+    """Canonical orbit key for grid edges p -> q (vectorized).
 
-    An edge is normalized so its displacement is (1,0), (0,1) or (1,1);
-    sign is +1 when the traversal p->q already ran that way. The key wraps
-    the normalized tail by the scheme's translation group and, for the
-    unordered-pair scheme, minimizes over the swap image (which maps
-    positively-directed edges to positively-directed edges, so signs stay
-    comparable within a class).
+    An edge is normalized so its displacement is (1,0), (0,1) or (1,1).
+    The key wraps the normalized tail by the scheme's translation group
+    and, for the unordered-pair scheme, minimizes over the swap image.
     """
     di, dj = qi - pi, qj - pj
     flip = (di < 0) | ((di == 0) & (dj < 0))
@@ -184,7 +179,6 @@ def _edge_orbit_keys(scheme, n, pi, pj, qi, qj):
     bj = np.where(flip, qj, pj)
     ndi = np.where(flip, -di, di)
     ndj = np.where(flip, -dj, dj)
-    sign = np.where(flip, -1, 1).astype(np.int8)
     d = np.select([(ndi == 1) & (ndj == 0), (ndi == 0) & (ndj == 1)], [0, 1], default=2)
 
     def pack(i, j, dd):
@@ -198,7 +192,7 @@ def _edge_orbit_keys(scheme, n, pi, pj, qi, qj):
         k1 = pack(bi % n, bj % n, d)
         k2 = pack(bj % n, bi % n, _SWAPPED_DIR[d])
         key = np.minimum(k1, k2)
-    return key, sign
+    return key
 
 
 def _first_seen_ids(keys):
@@ -257,17 +251,13 @@ def build_mesh(scheme, n, cfg=EmbedConfig()):
     pj = corner_j[:, [0, 1, 2]].ravel()
     qi = corner_i[:, [1, 2, 0]].ravel()
     qj = corner_j[:, [1, 2, 0]].ravel()
-    ekey, esign = _edge_orbit_keys(scheme, n, pi, pj, qi, qj)
-    ekey = ekey.reshape(-1, 3)
-    esign = esign.reshape(-1, 3)
+    ekey = _edge_orbit_keys(scheme, n, pi, pj, qi, qj).reshape(-1, 3)
 
     # a dropped sliver collapses to a segment: its two surviving sides are
     # one and the same quotient edge. Slivers occur only in the pinched
     # columns (upper triangles of cells i = 0, lower ones of i = n - 1).
-    # Each joins a horizontal and a diagonal side; both are directed
-    # towards +i, from the same end, so they run the same way and their
-    # signs need no change. No key is in two slivers, so the second
-    # side's key simply maps onto the first's.
+    # No key is in two slivers, so the second side's key simply maps onto
+    # the first's.
     sliver = np.nonzero(degenerate)[0]
     if len(sliver):
         wt = tris_all[sliver]
@@ -280,11 +270,10 @@ def build_mesh(scheme, n, cfg=EmbedConfig()):
 
     tris = tris_all[keep]
     ekey = ekey[keep]
-    esign = esign[keep]
 
     # every vertex class is a corner of a kept triangle, so none is unused
     return Mesh(vertices=verts, triangles=tris, weld_map=weld,
-                edge_ids=_first_seen_ids(ekey.ravel())[0].reshape(-1, 3), edge_signs=esign)
+                edge_ids=_first_seen_ids(ekey.ravel())[0].reshape(-1, 3))
 
 
 def _components(n, a, b):
@@ -321,8 +310,9 @@ def mesh_invariants(mesh):
     triangles raise NonManifoldEdgeError.
 
     Edge identity comes from the mesh's exact quotient classes when
-    present (with edge signs of +1 or -1), otherwise from undirected
-    welded-vertex pairs.
+    present, otherwise from undirected welded-vertex pairs. Either way
+    both sides of an edge must join the same pair of vertices, and their
+    directions are compared by vertex order.
     """
     verts = np.asarray(mesh.vertices)
     tris = np.asarray(mesh.triangles, dtype=np.int64)
@@ -339,13 +329,9 @@ def mesh_invariants(mesh):
 
     slot_verts = np.stack([tris[:, [0, 1, 2]].ravel(),
                            tris[:, [1, 2, 0]].ravel()], axis=1)
-    if (mesh.edge_ids is None) != (mesh.edge_signs is None):
-        raise ValueError("edge classes do not match the triangle list")
     if mesh.edge_ids is not None:
         flat_ids = np.asarray(mesh.edge_ids, dtype=np.int64).ravel()
-        flat_signs = np.asarray(mesh.edge_signs, dtype=np.int64).ravel()
-        if (flat_ids.shape != (3 * nf,) or flat_signs.shape != (3 * nf,)
-                or flat_ids.min() < 0):
+        if flat_ids.shape != (3 * nf,) or flat_ids.min() < 0:
             raise ValueError("edge classes do not match the triangle list")
         counts = np.bincount(flat_ids)
         ne = int(np.count_nonzero(counts))     # class labels need not be dense
@@ -353,7 +339,6 @@ def mesh_invariants(mesh):
         lo, hi = slot_verts.min(axis=1), slot_verts.max(axis=1)
         _, flat_ids, counts = np.unique(lo * nv + hi, return_inverse=True,
                                         return_counts=True)
-        flat_signs = np.where(slot_verts[:, 0] < slot_verts[:, 1], 1, -1)
         ne = len(counts)
 
     # slots grouped by edge id, in slot order within each edge
@@ -363,6 +348,15 @@ def mesh_invariants(mesh):
     bad = np.nonzero(counts > 2)[0]
     if bad.size:
         raise NonManifoldEdgeError(slot_verts[first[bad[0]]], counts[bad[0]])
+    paired = counts == 2
+    s1, s2 = first[paired], by_edge[end[paired] - 1]
+    tail, head = slot_verts.T
+    t1, h1, t2, h2 = tail[s1], head[s1], tail[s2], head[s2]
+    # sides traversed the same way (from the same tail vertex): the two
+    # faces agree only with one flipped
+    flip = t1 == t2
+    if not np.all(np.where(flip, h1 == h2, (t1 == h2) & (h1 == t2))):
+        raise ValueError("edge classes do not match the triangle list")
 
     loops = 0
     ends = slot_verts[first[counts == 1]]
@@ -376,10 +370,6 @@ def mesh_invariants(mesh):
                 f"{int(degree[v])} boundary edges")
         loops = len(np.unique(_components(nv, ends[:, 0], ends[:, 1])[ends]))
 
-    paired = counts == 2
-    s1, s2 = first[paired], by_edge[end[paired] - 1]
-    # sides traversed the same way: the two faces agree only with one flipped
-    flip = flat_signs[s1] == flat_signs[s2]
     f1, f2 = 2 * (s1 // 3), 2 * (s2 // 3)
     sheets = _components(2 * nf, np.concatenate([f1, f1 + 1]),
                          np.concatenate([f2 + flip, f2 + 1 - flip]))
@@ -432,9 +422,7 @@ def parse_obj(source):
         text = text.decode("ascii")
     vtok, ftok = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        parts = line.split()
-        if not parts or parts[0] == "#":
-            continue
+        parts = line.split() or ["#"]       # a blank line reads as a comment
         if parts[0] == "v":
             if len(parts) != 4:
                 raise ValueError(f"line {lineno}: malformed vertex line {line!r}")
@@ -443,7 +431,7 @@ def parse_obj(source):
             if len(parts) != 4:
                 raise ValueError(f"line {lineno}: malformed face line {line!r}")
             ftok += parts[1:]
-        else:
+        elif not parts[0].startswith("#"):
             raise ValueError(f"line {lineno}: unsupported OBJ directive {parts[0]!r}")
     # numpy converts str tokens with Python float() and int()
     try:
@@ -457,7 +445,7 @@ def parse_obj(source):
         # raises, and a face index whose 1-based shift leaves int64
         # overflows only here
         for parts in map(str.split, text.splitlines()):
-            if parts and parts[0] != "#":
+            if parts and not parts[0].startswith("#"):
                 for p in parts[1:]:
                     (float if parts[0] == "v" else int)(p)
         tris = np.asarray([int(p) - 1 for p in ftok], dtype=np.int64)

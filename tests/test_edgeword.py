@@ -25,6 +25,11 @@ def test_parse_triple_label():
         parse("aaa")
 
 
+def test_edge_word_built_directly_rejects_triple_label():
+    with pytest.raises(ValueError, match="^label 'a' appears 3 times$"):
+        EdgeWord(letters=(("a", 1), ("b", 1), ("a", -1), ("a", 1)))
+
+
 def test_parse_illegal_character():
     with pytest.raises(ValueError, match="illegal character '1'"):
         parse("a1b")

@@ -170,17 +170,17 @@ def test_mesh_vertices_all_referenced():
 
 def _orientable_by_exhaustion(mesh):
     """Independent oracle: search all winding assignments for one in which
-    every shared edge is traversed oppositely by its two triangles."""
+    every shared edge is traversed oppositely by its two triangles. A side
+    runs forwards (+1) when its tail vertex index is below its head's."""
     tris = np.asarray(mesh.triangles)
     nf = len(tris)
+    sv = np.stack([tris[:, [0, 1, 2]].ravel(), tris[:, [1, 2, 0]].ravel()], axis=1)
+    signs = np.where(sv[:, 0] < sv[:, 1], 1, -1)
     if mesh.edge_ids is not None:
         ids = np.asarray(mesh.edge_ids).ravel()
-        signs = np.asarray(mesh.edge_signs).ravel()
     else:
-        sv = np.stack([tris[:, [0, 1, 2]].ravel(), tris[:, [1, 2, 0]].ravel()], axis=1)
         _, ids = np.unique(np.sort(sv, axis=1), axis=0, return_inverse=True)
         ids = ids.ravel()
-        signs = np.where(sv[:, 0] < sv[:, 1], 1, -1)
     groups = {}
     for slot, e in enumerate(ids):
         groups.setdefault(int(e), []).append(slot)
@@ -210,8 +210,7 @@ def test_orientability_of_face_subsets_against_exhaustive_oracle():
             faces = np.sort(rng.choice(nf, size=int(rng.integers(1, min(nf, 16) + 1)), replace=False))
             for classes in (True, False):
                 sub = Mesh(vertices=mesh.vertices, triangles=mesh.triangles[faces],
-                           edge_ids=mesh.edge_ids[faces] if classes else None,
-                           edge_signs=mesh.edge_signs[faces] if classes else None)
+                           edge_ids=mesh.edge_ids[faces] if classes else None)
                 try:
                     inv = mesh_invariants(sub)
                 except ValueError:          # open boundary pinched at a vertex
@@ -237,13 +236,14 @@ def test_bow_tie_boundary_reported():
         mesh_invariants(mesh)
 
 
-@pytest.mark.parametrize("given", ["edge_ids", "edge_signs"])
-def test_half_given_edge_classes_rejected(given):
+def test_edge_class_joining_two_vertex_pairs_rejected():
+    # swap the classes of two sides of one triangle: every class keeps two
+    # sides, but two classes now each join two different vertex pairs
     mesh = build_mesh(T, 4)
-    half = Mesh(vertices=mesh.vertices, triangles=mesh.triangles,
-                **{given: getattr(mesh, given)})
+    ids = mesh.edge_ids.copy()
+    ids[0, [0, 1]] = ids[0, [1, 0]]
     with pytest.raises(ValueError, match="^edge classes do not match the triangle list$"):
-        mesh_invariants(half)
+        mesh_invariants(replace(mesh, edge_ids=ids))
 
 
 @pytest.mark.parametrize("scheme", [T, P, M], ids=lambda s: s.value)
@@ -351,6 +351,8 @@ def test_obj_export_matches_per_line_format_on_meshes():
     ("f 1 2 y\nv 0 x 0\n", "invalid literal for int() with base 10: 'y'"),
     # structure is checked for every line before any number is converted
     ("v 0 x 0\nf 1 2\n", "line 2: malformed face line 'f 1 2'"),
+    # a first token starting with '#' opens a comment in both passes
+    ("#v 0 z\nv 0 x 0\nf 1 2 3\n", "could not convert string to float: 'x'"),
 ])
 def test_obj_parse_errors(text, message):
     with pytest.raises(ValueError) as err:
@@ -359,7 +361,8 @@ def test_obj_parse_errors(text, message):
 
 
 def test_obj_parse_skips_comments_and_blank_lines():
-    mesh = parse_obj("# header\n\nv 0 0 0\n  \n# v 9 9\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+    mesh = parse_obj("# header\n#header\n\nv 0 0 0\n  \n# v 9 9\n#v 9 9\nv 1 0 0\n"
+                     "v 0 1 0\nf 1 2 3\n")
     assert mesh.vertices.tolist() == [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
     assert mesh.triangles.dtype == np.int64 and mesh.triangles.tolist() == [[0, 1, 2]]
 

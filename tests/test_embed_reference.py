@@ -6,6 +6,10 @@ by propagating a winding face by face, and boundary loops traced edge by
 edge. The array code keeps every output, so meshes, invariants and error
 messages must match the reference exactly. Both count E as the number of
 distinct edge-class labels.
+
+The reference directs each side of a grid mesh by its grid displacement;
+the array code directs it by vertex order. Within an edge class the two
+signs must differ by one common factor, so both decide orientability alike.
 """
 import io
 
@@ -68,8 +72,9 @@ class _SignedUnionFind:
 
 
 def _mesh_reference(scheme, n):
-    """Triangles, weld map, edge ids and signs of build_mesh, with the
-    slivers welded one by one."""
+    """Triangles, weld map, edge ids and grid signs of build_mesh, with the
+    slivers welded one by one. A side's grid sign is +1 when it runs along
+    its class's normalized displacement (1,0), (0,1) or (1,1)."""
     keys = _grid_class_keys(scheme, n)
     _, first_idx, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first_idx, kind="stable")
@@ -92,8 +97,9 @@ def _mesh_reference(scheme, n):
 
     pi, pj = corner_i.ravel(), corner_j.ravel()
     qi, qj = corner_i[:, [1, 2, 0]].ravel(), corner_j[:, [1, 2, 0]].ravel()
-    ekey, esign = _edge_orbit_keys(scheme, n, pi, pj, qi, qj)
-    ekey, esign = ekey.reshape(-1, 3), esign.reshape(-1, 3)
+    ekey = _edge_orbit_keys(scheme, n, pi, pj, qi, qj).reshape(-1, 3)
+    di, dj = qi - pi, qj - pj
+    esign = np.where((di < 0) | ((di == 0) & (dj < 0)), -1, 1).astype(np.int8).reshape(-1, 3)
     if degenerate.any():
         uf = _SignedUnionFind()
         tail_flat = (np.where(esign.ravel() > 0, pi, qi) * (n + 1)
@@ -207,7 +213,9 @@ def _windings_consistent(nf, flat_ids, flat_signs):
     return True
 
 
-def _invariants_reference(mesh):
+def _invariants_reference(mesh, signs=None):
+    """Invariants of a mesh, with the given signs directing the sides of
+    its edge classes."""
     verts = np.asarray(mesh.vertices)
     tris = np.asarray(mesh.triangles, dtype=np.int64)
     nv = len(verts)
@@ -224,7 +232,7 @@ def _invariants_reference(mesh):
     slot_verts = np.stack([tris[:, [0, 1, 2]].ravel(), tris[:, [1, 2, 0]].ravel()], axis=1)
     if mesh.edge_ids is not None:
         flat_ids = np.asarray(mesh.edge_ids, dtype=np.int64).ravel()
-        flat_signs = np.asarray(mesh.edge_signs, dtype=np.int64).ravel()
+        flat_signs = np.asarray(signs, dtype=np.int64).ravel()
         if flat_ids.shape != (3 * nf,) or flat_signs.shape != (3 * nf,):
             raise ValueError("edge classes do not match the triangle list")
         counts = np.bincount(flat_ids)
@@ -250,25 +258,30 @@ def _invariants_reference(mesh):
     return MeshInvariants(nv, ne, nf, nv - ne + nf, loops, orientable)
 
 
-def _outcome(fn, mesh):
+def _outcome(fn, *args):
     try:
-        inv = fn(mesh)
+        inv = fn(*args)
     except ValueError as e:
         return type(e), str(e)
     return inv, tuple(type(x) for x in vars(inv).values())
 
 
-def _assert_same_invariants(mesh):
-    assert _outcome(mesh_invariants, mesh) == _outcome(_invariants_reference, mesh)
+def _assert_same_invariants(mesh, signs=None):
+    assert _outcome(mesh_invariants, mesh) == _outcome(_invariants_reference, mesh, signs)
 
 
 @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
 def test_mesh_matches_union_find_welding(scheme):
     for n in SIZES:
         mesh = build_mesh(scheme, n)
-        got = (mesh.triangles, mesh.weld_map, mesh.edge_ids, mesh.edge_signs)
-        for a, b in zip(got, _mesh_reference(scheme, n)):
+        tris, weld, ids, grid_signs = _mesh_reference(scheme, n)
+        for a, b in zip((mesh.triangles, mesh.weld_map, mesh.edge_ids), (tris, weld, ids)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+        order_signs = np.where(tris < tris[:, [1, 2, 0]], 1, -1)
+        product = (grid_signs * order_signs).ravel()
+        per_class = np.zeros(ids.max() + 1, dtype=product.dtype)
+        per_class[ids.ravel()] = product
+        assert np.array_equal(per_class[ids.ravel()], product)
 
 
 @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
@@ -283,7 +296,7 @@ def test_mesh_vertices_match_chart_block(scheme):
 def test_invariants_match_reference_on_built_and_parsed_meshes(scheme):
     for n in SIZES:
         mesh = build_mesh(scheme, n)
-        _assert_same_invariants(mesh)
+        _assert_same_invariants(mesh, _mesh_reference(scheme, n)[3])
         sink = io.BytesIO()
         export_obj(mesh, sink)
         _assert_same_invariants(parse_obj(sink.getvalue()))
@@ -295,6 +308,7 @@ def test_invariants_match_reference_on_face_subsets(scheme):
     outcomes = set()
     for n in SIZES:
         mesh = build_mesh(scheme, n)
+        signs = _mesh_reference(scheme, n)[3]
         nf = len(mesh.triangles)
         for _ in range(4):
             # contiguous runs of faces keep some subsets free of bow-tie boundaries
@@ -304,8 +318,7 @@ def test_invariants_match_reference_on_face_subsets(scheme):
                 faces = np.sort(rng.choice(nf, size=int(rng.integers(1, nf + 1)), replace=False))
             for classes in (True, False):
                 sub = Mesh(vertices=mesh.vertices, triangles=mesh.triangles[faces],
-                           edge_ids=mesh.edge_ids[faces] if classes else None,
-                           edge_signs=mesh.edge_signs[faces] if classes else None)
-                _assert_same_invariants(sub)
+                           edge_ids=mesh.edge_ids[faces] if classes else None)
+                _assert_same_invariants(sub, signs[faces] if classes else None)
                 outcomes.add(_outcome(mesh_invariants, sub)[0] is ValueError)
     assert outcomes == {True, False}
