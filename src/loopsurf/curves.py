@@ -20,20 +20,45 @@ _TABLE_CAP = 1 << 22
 
 
 def mod1(t):
-    """Reduce to [0, 1). Works on scalars and arrays; -1e-17 maps to 0, not 1."""
-    r = np.mod(t, 1.0)
+    """Reduce to [0, 1). Works on scalars and arrays; -1e-17 maps to 0, not 1.
+    ``t - floor(t)`` rounds the exact fraction once, so it has np.mod's bits."""
+    r = t - np.floor(t)
     return np.where(r >= 1.0, 0.0, r)
 
 
-def _locate(table, target):
+def _bucket(target, k, total):
+    """Monotone map of targets to k equal buckets of [0, total]; NaN last."""
+    return np.fmax(np.fmin(target * (k / total), k - 1), 0.0).astype(np.intp)
+
+
+def _arc_index(table):
+    """(starts, steps) for _locate: per bucket, the count of entries after the
+    first in lower buckets; bisection steps enough for the fullest bucket."""
+    counts = np.bincount(_bucket(table[1:], len(table) - 1, table[-1]), minlength=len(table) - 1)
+    starts = np.zeros(len(table) - 1, np.int32)
+    starts[1:] = np.cumsum(counts[:-1])
+    return starts, int(counts.max()).bit_length()
+
+
+def _locate(table, index, target):
     """Segment index into the increasing table holding each target, and the
-    target's linear fraction along that segment."""
-    idx = np.clip(np.searchsorted(table, target, side="right") - 1, 0, len(table) - 2)
+    target's linear fraction along that segment. The index is the number of
+    entries after the first that the target reaches (NaN reaches all, as it
+    sorts last), capped at the last segment: clip(searchsorted(table, target,
+    "right") - 1, 0, len(table) - 2) in constant time, from the target's
+    bucket and a fixed number of bisection steps."""
+    starts, steps = index
+    idx = starts[_bucket(target, len(starts), table[-1])]
+    for p in [1 << k for k in reversed(range(steps))]:
+        nxt = idx + p
+        idx = np.where(target < table.take(nxt, mode="clip"), idx, nxt)
+    idx = np.minimum(idx, len(table) - 2)
     return idx, (target - table[idx]) / (table[idx + 1] - table[idx])
 
 
-def _raw_point(kind, params, vertices, arc_table, s):
-    """Evaluate the underlying chart at raw parameter s in [0, 1]."""
+def _raw_point(kind, params, s, curve=None):
+    """Evaluate the underlying chart at raw parameter s in [0, 1]; a
+    polyline reads its vertices and arc table from ``curve``."""
     s = np.asarray(s, dtype=float)
     if kind == "circle":
         (r,) = params
@@ -52,11 +77,9 @@ def _raw_point(kind, params, vertices, arc_table, s):
         return np.stack([x, y], axis=-1)
     if kind == "polyline":
         # raw parameter is already the perimeter fraction: piecewise linear
-        total = arc_table[-1]
-        idx, frac = _locate(arc_table, np.clip(s * total, 0.0, total))
-        closed = np.vstack([vertices, vertices[:1]])
-        lo = closed[idx]
-        return lo + frac[..., None] * (closed[idx + 1] - lo)
+        idx, frac = _locate(curve.arc_table, curve.arc_index, s * curve.arc_table[-1])
+        lo = curve.vertices[idx]
+        return lo + frac[..., None] * (curve.vertices.take(idx + 1, axis=0, mode="wrap") - lo)
     raise ValueError(f"unknown curve kind {kind!r}")
 
 
@@ -76,11 +99,15 @@ class ClosedCurve:
         Raw-parameter samples in [0, 1] backing the arc-length table.
     arc_table : np.ndarray
         Strictly increasing cumulative lengths at ``raw_knots``.
+    arc_index : tuple
+        ``(starts, steps)``: an int32 count per equal-length bucket of the arc
+        table, and bisection steps; ``_locate`` inverts the table with it.
     total_length : float
         Curve perimeter, same units as the coordinates.
     uniform_speed : bool
         True when the raw parameter is already proportional to arc length
-        (circle, polyline); evaluation then skips the table inversion.
+        (circle, polyline); evaluation then skips the table inversion from arc
+        length to raw parameter (a polyline still looks up its segment).
     """
 
     kind: str
@@ -88,6 +115,7 @@ class ClosedCurve:
     vertices: np.ndarray | None
     raw_knots: np.ndarray
     arc_table: np.ndarray
+    arc_index: tuple
     total_length: float
     uniform_speed: bool
 
@@ -100,9 +128,9 @@ class ClosedCurve:
         if self.uniform_speed:
             s = t
         else:
-            idx, frac = _locate(self.arc_table, t * self.total_length)
+            idx, frac = _locate(self.arc_table, self.arc_index, t * self.total_length)
             s = self.raw_knots[idx] + frac * (self.raw_knots[idx + 1] - self.raw_knots[idx])
-        return _raw_point(self.kind, self.params, self.vertices, self.arc_table, s)
+        return _raw_point(self.kind, self.params, s, self)
 
     def sample(self, n):
         """n points at t = 0, 1/n, ..., (n-1)/n."""
@@ -111,12 +139,26 @@ class ClosedCurve:
         return self.eval(np.arange(n) / float(n))
 
 
+def _perimeter(table):
+    """Last entry of an arc table; inf if a length overflowed, and rejected."""
+    total = float(table[-1])
+    if not np.isfinite(total):
+        raise ValueError(f"perimeter is not finite, got {total}: the curve is too large")
+    return total
+
+
+def _segment_lengths(points):
+    """Lengths of the segments between points (k, 2): np.linalg.norm's bits,
+    without its strided reduction; inf past the float64 range."""
+    with np.errstate(over="ignore"):
+        d = np.diff(points, axis=0)
+        return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+
+
 def _table_at(kind, params, n):
     knots = np.linspace(0.0, 1.0, n + 1)
-    pts = _raw_point(kind, params, None, None, knots)
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    table = np.concatenate([[0.0], np.cumsum(seg)])
-    return knots, table, float(table[-1])
+    table = np.concatenate([[0.0], np.cumsum(_segment_lengths(_raw_point(kind, params, knots)))])
+    return knots, table, _perimeter(table)
 
 
 def _build_arc_table(kind, params):
@@ -165,13 +207,13 @@ def make_preset(name, params):
     if name == "circle":
         # the angle fraction is already the arc fraction: no table inversion
         (r,) = params
-        total = 2.0 * np.pi * r
-        knots = np.array([0.0, 1.0])
-        table = np.array([0.0, total])
-        return ClosedCurve("circle", params, None, knots, table, total, True)
+        table = np.array([0.0, 2.0 * np.pi * r])
+        total = _perimeter(table)
+        return ClosedCurve("circle", params, None, np.array([0.0, 1.0]), table,
+                           _arc_index(table), total, True)
 
     knots, table, total = _build_arc_table(name, params)
-    return ClosedCurve(name, params, None, knots, table, total, False)
+    return ClosedCurve(name, params, None, knots, table, _arc_index(table), total, False)
 
 
 def load_polyline(records):
@@ -188,7 +230,7 @@ def load_polyline(records):
     if not np.all(np.isfinite(verts)):
         raise ValueError("non-finite vertex coordinate")
     closed = np.vstack([verts, verts[:1]])
-    seg = np.linalg.norm(np.diff(closed, axis=0), axis=1)
+    seg = _segment_lengths(closed)
     if np.any(seg == 0.0):
         i = int(np.argmax(seg == 0.0))
         if i == len(seg) - 1:
@@ -196,9 +238,8 @@ def load_polyline(records):
                              "(the closing segment is implicit; drop the final vertex)")
         raise ValueError(f"zero-length segment between vertices {i} and {i + 1}")
     table = np.concatenate([[0.0], np.cumsum(seg)])
-    total = float(table[-1])
-    knots = table / total
-    return ClosedCurve("polyline", (), verts, knots, table, total, True)
+    total = _perimeter(table)
+    return ClosedCurve("polyline", (), verts, table / total, table, _arc_index(table), total, True)
 
 
 def load_polyline_csv(source):

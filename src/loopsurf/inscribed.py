@@ -70,14 +70,17 @@ class RectangleReport:
     passes: bool
 
 
-def _images(curve, t1, t2):
-    """The chord map: vectorized (mid_x, mid_y, diagonal_length) image of
-    pairs (t1, t2), equal for (t2, t1)."""
-    p1 = curve.eval(np.asarray(t1, float))
-    p2 = curve.eval(np.asarray(t2, float))
+def _chords(p1, p2):
+    """(mid_x, mid_y, length) of chords p1 p2 (..., 2); the same for (p2, p1)."""
     mid = 0.5 * (p1 + p2)
     diag = np.linalg.norm(p1 - p2, axis=-1)
     return np.concatenate([mid, diag[..., None]], axis=-1)
+
+
+def _images(curve, t1, t2):
+    """The chord map: vectorized (mid_x, mid_y, diagonal_length) image of
+    pairs (t1, t2), equal for (t2, t1)."""
+    return _chords(curve.eval(np.asarray(t1, float)), curve.eval(np.asarray(t2, float)))
 
 
 def _pair_separation(pa, pb):
@@ -114,13 +117,14 @@ def _solve(lhs, rhs):
 def _refine(curve, theta0, target, min_separation):
     """Damped least-squares on the four parameters of each seed row (B, 4),
     rows in lockstep with a damping factor each, finite-difference Jacobian
-    (the curve may be a polyline with corners). A row stops early when its
-    two chords drift into coincidence. Returns parameters and final costs."""
+    (the curve may be a polyline with corners) from 12 curve points per row:
+    the four at theta, and each moved by ±h. A row stops early when its two
+    chords drift into coincidence. Returns parameters and final costs."""
     theta = np.array(theta0, dtype=float)
     res = _residual_many(curve, theta)
     cost = _norms(res)
     lam = np.full(len(theta), 1e-6)
-    steps = _REFINE_FD_STEP * np.kron(np.eye(4), [[1.0], [-1.0]])   # rows +h e_k, -h e_k
+    steps = np.array([0.0, _REFINE_FD_STEP, -_REFINE_FD_STEP])
     live = np.arange(len(theta))
     for _ in range(_REFINE_MAX_ITER):
         live = live[cost[live] > target]
@@ -129,8 +133,12 @@ def _refine(curve, theta0, target, min_separation):
                     >= 0.25 * min_separation]   # else collapsing onto one chord
         if not live.size:
             break
-        r8 = _residual_many(curve, theta[live][:, None, :] + steps)
-        jac_t = (r8[:, 0::2] - r8[:, 1::2]) / (2.0 * _REFINE_FD_STEP)     # (L, param, residual)
+        pts = curve.eval(theta[live][:, :, None] + steps)       # (L, param, 0/+h/-h, 2)
+        base = pts[:, :, 0]
+        moved = _chords(pts[:, :, 1:], base[:, [1, 0, 3, 2], None])  # with the partner point
+        fixed = _chords(base[:, 0::2], base[:, 1::2])[:, :, None, None]  # chords (0, 1), (2, 3)
+        r8 = np.concatenate([moved[:, :2] - fixed[:, 1], fixed[:, 0] - moved[:, 2:]], axis=1)
+        jac_t = (r8[:, :, 0] - r8[:, :, 1]) / (2.0 * _REFINE_FD_STEP)   # (L, param, residual)
         gram = jac_t @ jac_t.transpose(0, 2, 1)
         rhs = -jac_t @ res[live][:, :, None]
         trying = np.arange(len(live))           # rows of live not yet improved
@@ -229,8 +237,8 @@ def find_rectangle(curve, grid_n=64, tol=1e-7, min_separation=1e-3, aspect=None)
     """
     if grid_n < 16:
         raise ValueError(f"grid_n must be >= 16, got {grid_n}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if not min_separation > 0.0:
         raise ValueError(f"min_separation must be positive, got {min_separation!r}")
     if aspect is not None and not 0.0 < aspect <= 1.0:

@@ -160,6 +160,19 @@ def test_curve_sample_csv(tmp_path):
         assert abs(math.hypot(x, y) - 2.0) < 1e-12
 
 
+def test_curve_sample_overflowing_perimeter_is_data_error():
+    code, out, err = invoke("curve-sample", "--curve", "ellipse:1e300,1", "--n", "2")
+    assert code == 3 and "perimeter is not finite" in err
+    assert out == ""
+
+
+def test_rect_infinite_tol_is_usage_error():
+    code, out, err = invoke("rect", "--curve", "circle:1", "--grid", "16", "--tol", "inf")
+    assert code == 2
+    assert err == "error: tol must be positive and finite, got inf\n"
+    assert out == ""
+
+
 def test_curve_sample_roundtrip_through_file(tmp_path):
     code, out, _ = invoke("curve-sample", "--curve", "ellipse:2,1", "--n", "64")
     path = tmp_path / "loop.csv"

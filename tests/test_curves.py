@@ -75,6 +75,18 @@ def test_polyline_non_finite():
         load_polyline([(0, 0), (np.nan, 1), (1, 1)])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: make_preset("ellipse", (1e300, 1)),
+    lambda: make_preset("ellipse", (1e200, 1e200)),
+    lambda: load_polyline([(0, 0), (1e300, 0), (0, 1e300)]),
+], ids=["ellipse-1e300x1", "ellipse-1e200x1e200", "polyline-1e300"])
+def test_overflowing_perimeter_rejected(build):
+    # each chord length squares past the float64 range, so the arc table
+    # would end in inf and eval would give NaN
+    with pytest.raises(ValueError, match="perimeter is not finite"):
+        build()
+
+
 def test_unknown_preset():
     with pytest.raises(ValueError, match="unknown preset"):
         make_preset("astroid", [1.0])

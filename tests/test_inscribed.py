@@ -71,6 +71,14 @@ def test_option_validation():
         find_rectangle(c, grid_n=32, tol=1e-6, min_separation=-1.0)
 
 
+@pytest.mark.parametrize("tol", [np.inf, np.nan])
+def test_non_finite_tol_rejected(tol):
+    # an infinite tolerance would accept the first seed, however far off
+    c = make_preset("circle", [1.0])
+    with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol!r}"):
+        find_rectangle(c, grid_n=16, tol=tol)
+
+
 def test_circle_yields_diameter_rectangle():
     c = make_preset("circle", [1.0])
     w = find_rectangle(c, grid_n=32, tol=1e-9)

@@ -15,8 +15,10 @@ from loopsurf.inscribed import (
     _aspect_ratio,
     _images,
     _make_witness,
+    _norms,
     _pair_separation,
     _refine,
+    _residual_many as _residual_rows,
     _seed_blocks,
     _solve,
     find_rectangle,
@@ -194,6 +196,80 @@ def test_batched_refine_matches_scalar_refine_per_seed():
         want_theta, want_cost = _refine_scalar(curve, seed, 0.02 * tol, min_sep)
         assert theta.tobytes() == want_theta.tobytes()
         assert cost == want_cost
+
+
+def _refine_32_point(curve, theta0, target, min_separation):
+    """The batched refine with its first Jacobian: every row of every ±h
+    step re-evaluates all four points, 8 x 4 = 32 curve points per row."""
+    theta = np.array(theta0, dtype=float)
+    res = _residual_rows(curve, theta)
+    cost = _norms(res)
+    lam = np.full(len(theta), 1e-6)
+    steps = _REFINE_FD_STEP * np.kron(np.eye(4), [[1.0], [-1.0]])
+    live = np.arange(len(theta))
+    for _ in range(_REFINE_MAX_ITER):
+        live = live[cost[live] > target]
+        th = theta[live]
+        live = live[_pair_separation((th[:, 0], th[:, 1]), (th[:, 2], th[:, 3]))
+                    >= 0.25 * min_separation]
+        if not live.size:
+            break
+        r8 = _residual_rows(curve, theta[live][:, None, :] + steps)
+        jac_t = (r8[:, 0::2] - r8[:, 1::2]) / (2.0 * _REFINE_FD_STEP)
+        gram = jac_t @ jac_t.transpose(0, 2, 1)
+        rhs = -jac_t @ res[live][:, :, None]
+        trying = np.arange(len(live))
+        for _ in range(12):
+            if not trying.size:
+                break
+            rows = live[trying]
+            trial = theta[rows] + _solve(gram[trying] + lam[rows][:, None, None] * np.eye(4),
+                                         rhs[trying])
+            trial_res = _residual_rows(curve, trial)
+            trial_cost = _norms(trial_res)
+            better = trial_cost < cost[rows]
+            won = rows[better]
+            theta[won], res[won], cost[won] = trial[better], trial_res[better], trial_cost[better]
+            lam[won] = np.maximum(lam[won] / 3.0, 1e-12)
+            lam[rows[~better]] *= 10.0
+            trying = trying[~better]
+        live = np.delete(live, trying)
+    return theta, cost
+
+
+RECT_FIRST_CURVES = {
+    "circle": lambda: make_preset("circle", [1.0]),
+    "ellipse-2x1": lambda: make_preset("ellipse", [2.0, 1.0]),
+    "superellipse-2x1p4": lambda: make_preset("superellipse", [2.0, 1.0, 4.0]),
+    "triangle": lambda: load_polyline(TRIANGLE),
+    "l-hexagon": lambda: load_polyline([(0.0, 0.0), (3.0, 0.0), (3.0, 1.0), (1.0, 1.0),
+                                        (1.0, 3.0), (0.0, 3.0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECT_FIRST_CURVES))
+def test_refine_matches_32_point_jacobian_on_random_seeds(name):
+    curve = RECT_FIRST_CURVES[name]()
+    seeds = np.random.default_rng(17).random((2000, 4))
+    theta, cost = _refine(curve, seeds, 0.02 * 1e-7, 1e-3)
+    want_theta, want_cost = _refine_32_point(curve, seeds, 0.02 * 1e-7, 1e-3)
+    assert theta.tobytes() == want_theta.tobytes()
+    assert cost.tobytes() == want_cost.tobytes()
+
+
+def test_refine_matches_32_point_jacobian_on_singular_rows():
+    # the batch of test_batched_refine_matches_scalar_refine_per_seed
+    curve = make_preset("ellipse", [20.0, 1.0])
+    g, tol, min_sep = 32, 1e-8, 1e-3
+    cell = 4.0 * (curve.total_length / np.pi) / g
+    m, d = np.meshgrid(np.arange(g) / g, 0.25 * (np.arange(g) + 1.0) / g, indexing="ij")
+    t1, t2 = mod1(m - d).ravel(), mod1(m + d).ravel()
+    blocks = _seed_blocks(t1, t2, _images(curve, t1, t2), cell, cell, 4.0 / g, min_sep)
+    seeds = next(blocks)[0][32:64]
+    theta, cost = _refine(curve, seeds, 0.02 * tol, min_sep)
+    want_theta, want_cost = _refine_32_point(curve, seeds, 0.02 * tol, min_sep)
+    assert theta.tobytes() == want_theta.tobytes()
+    assert cost.tobytes() == want_cost.tobytes()
 
 
 def test_stacked_solve_isolates_a_singular_matrix():
