@@ -8,6 +8,7 @@ polylines start at their first vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,6 +18,8 @@ PRESET_NAMES = ("circle", "ellipse", "superellipse")
 _TABLE_START = 1024
 _TABLE_RTOL = 1e-10
 _TABLE_CAP = 1 << 22
+# table segments per bucket of the lookup index (int32 per bucket)
+_BUCKET_SPAN = 2
 
 
 def mod1(t):
@@ -29,15 +32,6 @@ def mod1(t):
 def _bucket(target, k, total):
     """Monotone map of targets to k equal buckets of [0, total]; NaN last."""
     return np.fmax(np.fmin(target * (k / total), k - 1), 0.0).astype(np.intp)
-
-
-def _arc_index(table):
-    """(starts, steps) for _locate: per bucket, the count of entries after the
-    first in lower buckets; bisection steps enough for the fullest bucket."""
-    counts = np.bincount(_bucket(table[1:], len(table) - 1, table[-1]), minlength=len(table) - 1)
-    starts = np.zeros(len(table) - 1, np.int32)
-    starts[1:] = np.cumsum(counts[:-1])
-    return starts, int(counts.max()).bit_length()
 
 
 def _locate(table, index, target):
@@ -56,9 +50,8 @@ def _locate(table, index, target):
     return idx, (target - table[idx]) / (table[idx + 1] - table[idx])
 
 
-def _raw_point(kind, params, s, curve=None):
-    """Evaluate the underlying chart at raw parameter s in [0, 1]; a
-    polyline reads its vertices and arc table from ``curve``."""
+def _raw_point(kind, params, s):
+    """Evaluate a preset's underlying chart at raw parameter s in [0, 1]."""
     s = np.asarray(s, dtype=float)
     if kind == "circle":
         (r,) = params
@@ -75,11 +68,6 @@ def _raw_point(kind, params, s, curve=None):
         x = a * np.sign(c) * np.abs(c) ** (2.0 / p)
         y = b * np.sign(sn) * np.abs(sn) ** (2.0 / p)
         return np.stack([x, y], axis=-1)
-    if kind == "polyline":
-        # raw parameter is already the perimeter fraction: piecewise linear
-        idx, frac = _locate(curve.arc_table, curve.arc_index, s * curve.arc_table[-1])
-        lo = curve.vertices[idx]
-        return lo + frac[..., None] * (curve.vertices.take(idx + 1, axis=0, mode="wrap") - lo)
     raise ValueError(f"unknown curve kind {kind!r}")
 
 
@@ -99,15 +87,16 @@ class ClosedCurve:
         Raw-parameter samples in [0, 1] backing the arc-length table.
     arc_table : np.ndarray
         Strictly increasing cumulative lengths at ``raw_knots``.
-    arc_index : tuple
-        ``(starts, steps)``: an int32 count per equal-length bucket of the arc
-        table, and bisection steps; ``_locate`` inverts the table with it.
     total_length : float
         Curve perimeter, same units as the coordinates.
     uniform_speed : bool
         True when the raw parameter is already proportional to arc length
         (circle, polyline); evaluation then skips the table inversion from arc
         length to raw parameter (a polyline still looks up its segment).
+
+    ``_locate`` looks targets up in ``arc_table`` through ``_index``, a
+    bucket index over the table that the curve builds on first use. It is
+    not a field: it is derived from ``arc_table`` alone.
     """
 
     kind: str
@@ -115,7 +104,6 @@ class ClosedCurve:
     vertices: np.ndarray | None
     raw_knots: np.ndarray
     arc_table: np.ndarray
-    arc_index: tuple
     total_length: float
     uniform_speed: bool
 
@@ -125,12 +113,26 @@ class ClosedCurve:
         Accepts a scalar or an array; returns shape (..., 2).
         """
         t = mod1(np.asarray(t, dtype=float))
-        if self.uniform_speed:
-            s = t
-        else:
-            idx, frac = _locate(self.arc_table, self.arc_index, t * self.total_length)
-            s = self.raw_knots[idx] + frac * (self.raw_knots[idx + 1] - self.raw_knots[idx])
-        return _raw_point(self.kind, self.params, s, self)
+        if self.vertices is None and self.uniform_speed:     # circle: no table
+            return _raw_point(self.kind, self.params, t)
+        idx, frac = _locate(self.arc_table, self._index, t * self.total_length)
+        if self.vertices is not None:                        # polyline: along the segment
+            lo = self.vertices[idx]
+            return lo + frac[..., None] * (self.vertices.take(idx + 1, axis=0, mode="wrap") - lo)
+        s = self.raw_knots[idx] + frac * (self.raw_knots[idx + 1] - self.raw_knots[idx])
+        return _raw_point(self.kind, self.params, s)
+
+    @cached_property
+    def _index(self):
+        """(starts, steps) for _locate. [0, perimeter] is cut into equal
+        buckets, one per _BUCKET_SPAN table segments; starts holds, per
+        bucket, the count of entries after the first in lower buckets (int32),
+        and steps is enough bisection for the fullest bucket."""
+        k = max(1, (len(self.arc_table) - 1) // _BUCKET_SPAN)
+        counts = np.bincount(_bucket(self.arc_table[1:], k, self.arc_table[-1]), minlength=k)
+        starts = np.zeros(k, np.int32)
+        starts[1:] = np.cumsum(counts[:-1])
+        return starts, int(counts.max()).bit_length()
 
     def sample(self, n):
         """n points at t = 0, 1/n, ..., (n-1)/n."""
@@ -140,7 +142,8 @@ class ClosedCurve:
 
 
 def _perimeter(table):
-    """Last entry of an arc table; inf if a length overflowed, and rejected."""
+    """Last entry of an arc table, the perimeter; ValueError when a length
+    overflowed to inf."""
     total = float(table[-1])
     if not np.isfinite(total):
         raise ValueError(f"perimeter is not finite, got {total}: the curve is too large")
@@ -209,11 +212,10 @@ def make_preset(name, params):
         (r,) = params
         table = np.array([0.0, 2.0 * np.pi * r])
         total = _perimeter(table)
-        return ClosedCurve("circle", params, None, np.array([0.0, 1.0]), table,
-                           _arc_index(table), total, True)
+        return ClosedCurve("circle", params, None, np.array([0.0, 1.0]), table, total, True)
 
     knots, table, total = _build_arc_table(name, params)
-    return ClosedCurve(name, params, None, knots, table, _arc_index(table), total, False)
+    return ClosedCurve(name, params, None, knots, table, total, False)
 
 
 def load_polyline(records):
@@ -239,7 +241,7 @@ def load_polyline(records):
         raise ValueError(f"zero-length segment between vertices {i} and {i + 1}")
     table = np.concatenate([[0.0], np.cumsum(seg)])
     total = _perimeter(table)
-    return ClosedCurve("polyline", (), verts, table / total, table, _arc_index(table), total, True)
+    return ClosedCurve("polyline", (), verts, table / total, table, total, True)
 
 
 def load_polyline_csv(source):
