@@ -150,12 +150,20 @@ def _perimeter(table):
     return total
 
 
+def _lengths(v):
+    """Lengths of the vectors v (..., k) for small k: the squares summed in
+    np.linalg.norm(axis=-1)'s order, so with its bits, without its strided
+    reduction."""
+    sq = v[..., 0] * v[..., 0]
+    for k in range(1, v.shape[-1]):
+        sq += v[..., k] * v[..., k]
+    return np.sqrt(sq)
+
+
 def _segment_lengths(points):
-    """Lengths of the segments between points (k, 2): np.linalg.norm's bits,
-    without its strided reduction; inf past the float64 range."""
+    """Lengths of the segments between points (k, 2); inf past the float64 range."""
     with np.errstate(over="ignore"):
-        d = np.diff(points, axis=0)
-        return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+        return _lengths(np.diff(points, axis=0))
 
 
 def _table_at(kind, params, n):

@@ -27,6 +27,8 @@ class EmbedConfig:
     """Embedding radii: R major, r minor, w half-width of the band.
 
     Defaults keep all three surfaces embedded without self-intersection.
+    Requires 0 < r < R < inf and 0 < w < R, so all three are finite: an
+    infinite R would put NaN coordinates into the mesh.
     """
 
     R: float = 2.0
@@ -36,8 +38,9 @@ class EmbedConfig:
     def __post_init__(self):
         if not (self.r > 0.0):
             raise ValueError(f"minor radius must be positive, got r={self.r!r}")
-        if not (self.R > self.r):
-            raise ValueError(f"need R > r for an embedded torus, got R={self.R!r}, r={self.r!r}")
+        if not (self.r < self.R < np.inf):
+            raise ValueError(f"need finite R > r for an embedded torus, got R={self.R!r}, "
+                             f"r={self.r!r}")
         if not (0.0 < self.w < self.R):
             raise ValueError(f"need 0 < w < R, got w={self.w!r}, R={self.R!r}")
 

@@ -9,11 +9,12 @@ other and have equal length: a rectangle.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import mod1
+from .curves import _lengths, mod1
 from .pairspace import Scheme, quotient_distance
 
 _REFINE_MAX_ITER = 200
@@ -73,8 +74,7 @@ class RectangleReport:
 def _chords(p1, p2):
     """(mid_x, mid_y, length) of chords p1 p2 (..., 2); the same for (p2, p1)."""
     mid = 0.5 * (p1 + p2)
-    diag = np.linalg.norm(p1 - p2, axis=-1)
-    return np.concatenate([mid, diag[..., None]], axis=-1)
+    return np.concatenate([mid, _lengths(p1 - p2)[..., None]], axis=-1)
 
 
 def _images(curve, t1, t2):
@@ -86,6 +86,11 @@ def _images(curve, t1, t2):
 def _pair_separation(pa, pb):
     """Unordered-pair quotient distance between two parameter pairs."""
     return quotient_distance(Scheme.MOBIUS_UNORDERED, pa, pb)
+
+
+def _row_separation(theta):
+    """Band distance between the two pairs of each row of theta (B, 4)."""
+    return _pair_separation((theta[:, 0], theta[:, 1]), (theta[:, 2], theta[:, 3]))
 
 
 def _residual_many(curve, thetas):
@@ -114,23 +119,34 @@ def _solve(lhs, rhs):
         return out
 
 
-def _refine(curve, theta0, target, min_separation):
+def _refine(curve, theta0, target, min_separation, accept=None):
     """Damped least-squares on the four parameters of each seed row (B, 4),
     rows in lockstep with a damping factor each, finite-difference Jacobian
     (the curve may be a polyline with corners) from 12 curve points per row:
     the four at theta, and each moved by ±h. A row stops early when its two
-    chords drift into coincidence. Returns parameters and final costs."""
+    chords drift into coincidence. Returns parameters and final costs.
+
+    With ``accept``, the first-witness cut-off: once a row stops with cost
+    <= accept and its pairs min_separation apart (find_rectangle's
+    acceptance test), every later row stops where it is. Earlier rows run
+    as without it, so the first accepted row is the same, but later rows'
+    results are partial: a caller that may reject the first accepted row
+    (an aspect scan) passes None."""
     theta = np.array(theta0, dtype=float)
     res = _residual_many(curve, theta)
     cost = _norms(res)
     lam = np.full(len(theta), 1e-6)
     steps = np.array([0.0, _REFINE_FD_STEP, -_REFINE_FD_STEP])
-    live = np.arange(len(theta))
+    live = was = np.arange(len(theta))
     for _ in range(_REFINE_MAX_ITER):
         live = live[cost[live] > target]
-        th = theta[live]
-        live = live[_pair_separation((th[:, 0], th[:, 1]), (th[:, 2], th[:, 3]))
-                    >= 0.25 * min_separation]   # else collapsing onto one chord
+        live = live[_row_separation(theta[live]) >= 0.25 * min_separation]  # else collapsing
+        if accept is not None:
+            done = np.delete(was, np.searchsorted(was, live))   # stopped since the last check
+            done = done[cost[done] <= accept]
+            if done.size:
+                accepted = done[_row_separation(theta[done]) >= min_separation]
+                live = live[live < accepted.min(initial=len(theta))]
         if not live.size:
             break
         pts = curve.eval(theta[live][:, :, None] + steps)       # (L, param, 0/+h/-h, 2)
@@ -156,7 +172,7 @@ def _refine(curve, theta0, target, min_separation):
             lam[won] = np.maximum(lam[won] / 3.0, 1e-12)
             lam[rows[~better]] *= 10.0
             trying = trying[~better]
-        live = np.delete(live, trying)
+        was, live = live, np.delete(live, trying)
     return theta, cost
 
 
@@ -164,7 +180,13 @@ def _seed_blocks(t1, t2, images, cell, capture, seed_gate, min_separation):
     """Collision seeds (t1[j], t2[j], t1[i], t2[i]) in (i, j) order, by blocks
     of samples i, each twice the last but cut at _PAIR_BUDGET pairs: pairs j
     < i in neighbouring image cells, image distance <= capture, separation >=
-    seed_gate; with the least image distance of pairs min_separation apart."""
+    seed_gate; with the least image distance of pairs min_separation apart.
+
+    Only the pairs within capture are separated and sorted; their keys i * n
+    + j are unique, so the order is that of sorting all pairs first. The
+    tracked distance stays exact: if a near pair is min_separation apart,
+    every far pair lies beyond it; else every pair of the block is
+    separated, as the far ones alone can hold the least distance."""
     n = len(images)
     keys = np.floor(images / cell).astype(np.int64)
     keys -= keys.min(axis=0) - 1               # >= 1: neighbour cells stay >= 0
@@ -188,14 +210,17 @@ def _seed_blocks(t1, t2, images, cell, capture, seed_gate, min_separation):
         ends = np.cumsum(counts)
         j = order[np.repeat(lo - ends + counts, counts) + np.arange(ends[-1])]
         ii = np.repeat(np.repeat(i, len(shifts)), counts)
-        by_pair = np.argsort(ii * n + j)
-        j, ii = j[by_pair], ii[by_pair]
-        sep = _pair_separation((t1[j], t2[j]), (t1[ii], t2[ii]))
-        raw = np.linalg.norm(images[j] - images[ii], axis=1)
-        tracked = float(np.min(raw[sep >= min_separation], initial=np.inf))
-        seed = (sep >= seed_gate) & (raw <= capture)
+        raw = _lengths(images[j] - images[ii])
+        near = np.flatnonzero(raw <= capture)
+        near = near[np.argsort(ii[near] * n + j[near])]
+        sep = _pair_separation((t1[j[near]], t2[j[near]]), (t1[ii[near]], t2[ii[near]]))
+        tracked = raw[near][sep >= min_separation]
+        if not tracked.size:
+            tracked = raw[_pair_separation((t1[j], t2[j]), (t1[ii], t2[ii])) >= min_separation]
+        seed = near[sep >= seed_gate]
         j, ii = j[seed], ii[seed]
-        yield np.stack([t1[j], t2[j], t1[ii], t2[ii]], axis=1), tracked
+        yield (np.stack([t1[j], t2[j], t1[ii], t2[ii]], axis=1),
+               float(np.min(tracked, initial=np.inf)))
 
 
 def _make_witness(curve, theta):
@@ -217,6 +242,11 @@ def _aspect_ratio(witness):
     return min(s1, s2) / max(s1, s2) if min(s1, s2) > 0.0 else 0.0
 
 
+def _check_tol(tol):
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 def find_rectangle(curve, grid_n=64, tol=1e-7, min_separation=1e-3, aspect=None):
     """Search for an inscribed rectangle.
 
@@ -235,12 +265,11 @@ def find_rectangle(curve, grid_n=64, tol=1e-7, min_separation=1e-3, aspect=None)
     side ratio: an accepted witness within a factor 1.5 returns at once,
     otherwise the whole grid is scanned and the closest ratio wins.
     """
-    if grid_n < 16:
-        raise ValueError(f"grid_n must be >= 16, got {grid_n}")
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if not min_separation > 0.0:
-        raise ValueError(f"min_separation must be positive, got {min_separation!r}")
+    if not isinstance(grid_n, numbers.Integral) or grid_n < 16:
+        raise ValueError(f"grid_n must be an integer >= 16, got {grid_n!r}")
+    _check_tol(tol)
+    if not 0.0 < min_separation < np.inf:
+        raise ValueError(f"min_separation must be positive and finite, got {min_separation!r}")
     if aspect is not None and not 0.0 < aspect <= 1.0:
         raise ValueError(f"aspect must lie in (0, 1], got {aspect!r}")
 
@@ -265,7 +294,8 @@ def find_rectangle(curve, grid_n=64, tol=1e-7, min_separation=1e-3, aspect=None)
                                        min_separation):
         best = min(best, tracked)
         while len(seeds):
-            thetas, costs = _refine(curve, seeds[:batch], target, min_separation)
+            thetas, costs = _refine(curve, seeds[:batch], target, min_separation,
+                                    tol if aspect is None else None)
             seeds, batch = seeds[batch:], min(2 * batch, _REFINE_BATCH_CAP)
             best = min(best, float(np.min(costs)))
             for theta in thetas[costs <= tol]:
@@ -304,7 +334,11 @@ def verify_rectangle(curve, witness, tol, min_separation=1e-9, resample_n=65536)
     measured against a dense resample, which undershoots a convex curve by
     the chord sagitta (about 1.2e-9 of the radius at the default density),
     which bounds how small a measurable vertex distance can get.
+
+    ``tol`` must be positive and finite, as in find_rectangle: an infinite
+    tol would pass any witness, and NaN or a non-positive tol none.
     """
+    _check_tol(tol)
     (a1, a2), (b1, b2) = witness.pairs
     if _pair_separation((a1, a2), (b1, b2)) <= min_separation:
         raise ValueError("pairs not distinct")

@@ -173,6 +173,29 @@ def test_rect_infinite_tol_is_usage_error():
     assert out == ""
 
 
+def test_rect_infinite_min_separation_is_usage_error():
+    code, out, err = invoke("rect", "--curve", "circle:1", "--grid", "16", "--tol", "1e-7",
+                            "--min-sep", "inf")
+    assert code == 2
+    assert err == "error: min_separation must be positive and finite, got inf\n"
+    assert out == ""
+
+
+def test_rect_fractional_grid_is_usage_error():
+    code, out, err = invoke("rect", "--curve", "circle:1", "--grid", "64.5", "--tol", "1e-7")
+    assert code == 2 and "--grid" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("flag", ["--R", "--r", "--w"])
+def test_mesh_infinite_radius_is_usage_error(flag, tmp_path):
+    # --R inf wrote "v inf nan 0" lines and exited 0
+    path = tmp_path / "m.obj"
+    code, out, err = invoke("mesh", "torus", "--resolution", "4", flag, "inf", "--out", str(path))
+    assert code == 2 and err.startswith("error: ")
+    assert out == "" and not path.exists()
+
+
 def test_curve_sample_roundtrip_through_file(tmp_path):
     code, out, _ = invoke("curve-sample", "--curve", "ellipse:2,1", "--n", "64")
     path = tmp_path / "loop.csv"

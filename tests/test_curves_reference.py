@@ -8,8 +8,8 @@ the same index and the same bits on every input.
 import numpy as np
 import pytest
 
-from loopsurf.curves import (_locate, _raw_point, _segment_lengths, load_polyline, make_preset,
-                             mod1)
+from loopsurf.curves import (_lengths, _locate, _raw_point, _segment_lengths, load_polyline,
+                             make_preset, mod1)
 
 
 def _mod1_reference(t):
@@ -92,6 +92,15 @@ def test_segment_lengths_match_norm_across_scales():
     pts = rng.standard_normal((4096, 2)) * 10.0 ** rng.uniform(-150.0, 150.0, (4096, 1))
     want = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     assert _segment_lengths(pts).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4096, 2), (4096, 3), (64, 4, 2, 2)])
+def test_lengths_match_norm(shape):
+    # the chord lengths of the rectangle search (k = 2) and the distances of
+    # its chord images (k = 3), across magnitudes
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal(shape) * 10.0 ** rng.uniform(-150.0, 150.0, shape[:-1] + (1,))
+    assert _lengths(v).tobytes() == np.linalg.norm(v, axis=-1).tobytes()
 
 
 def test_circle_eval_matches_reference():

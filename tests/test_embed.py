@@ -74,6 +74,15 @@ def test_config_validation():
         EmbedConfig(w=5.0)
 
 
+@pytest.mark.parametrize("radii", [dict(R=np.inf), dict(R=np.nan), dict(r=np.inf),
+                                   dict(r=np.nan), dict(w=np.inf), dict(w=np.nan),
+                                   dict(R=np.inf, r=np.inf, w=np.inf)])
+def test_config_rejects_non_finite_radii(radii):
+    # R=inf passed and gave NaN mesh coordinates
+    with pytest.raises(ValueError):
+        EmbedConfig(**radii)
+
+
 def test_chart_constant_on_classes():
     rng = np.random.default_rng(8)
     for scheme in (T, P, M):

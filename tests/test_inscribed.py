@@ -79,6 +79,26 @@ def test_non_finite_tol_rejected(tol):
         find_rectangle(c, grid_n=16, tol=tol)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(min_separation=np.inf), "min_separation must be positive and finite, got inf"),
+    (dict(min_separation=np.nan), "min_separation must be positive and finite, got nan"),
+    (dict(grid_n=64.5), "grid_n must be an integer >= 16, got 64.5"),
+    (dict(grid_n=64.0), "grid_n must be an integer >= 16, got 64.0"),
+])
+def test_non_finite_separation_and_non_integer_grid_rejected(kwargs, message):
+    # an infinite min_separation returned NotFound(None); grid_n=64.5 built
+    # a 65-column grid spaced 1/64.5
+    c = make_preset("circle", [1.0])
+    with pytest.raises(ValueError, match=message):
+        find_rectangle(c, **{"grid_n": 32, "tol": 1e-7, **kwargs})
+
+
+def test_numpy_integer_grid_accepted():
+    c = make_preset("circle", [1.0])
+    assert find_rectangle(c, grid_n=np.int64(32), tol=1e-9).pairs == \
+        find_rectangle(c, grid_n=32, tol=1e-9).pairs
+
+
 def test_circle_yields_diameter_rectangle():
     c = make_preset("circle", [1.0])
     w = find_rectangle(c, grid_n=32, tol=1e-9)
@@ -210,6 +230,17 @@ def test_verify_detects_perturbation():
     # induced chord error is ~ half the moved endpoint displacement
     moved = np.linalg.norm(c.eval(t) - c.eval(0.25))
     assert report.midpoint_residual == pytest.approx(moved / 2, rel=1e-6)
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
+def test_verify_rejects_non_positive_or_non_finite_tol(tol):
+    # with tol=inf these vertices, nowhere near the unit circle, passed
+    c = make_preset("circle", [1.0])
+    w = RectangleWitness(pairs=((0.0, 0.5), (0.25, 0.75)),
+                         vertices=np.array([(5.0, 5.0), (6.0, 6.0), (7.0, 7.0), (8.0, 9.0)]),
+                         midpoint_residual=0.0, length_residual=0.0)
+    with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol!r}"):
+        verify_rectangle(c, w, tol=tol)
 
 
 def test_verify_rejects_coincident_pairs():

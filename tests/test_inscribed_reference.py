@@ -5,6 +5,8 @@ sample by sample in grid order, and one damped least-squares solve per seed.
 The batched search keeps its seeds, seed order, solver arithmetic and
 acceptance rule, so the two must return the same witness bit for bit.
 """
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,10 +21,12 @@ from loopsurf.inscribed import (
     _pair_separation,
     _refine,
     _residual_many as _residual_rows,
+    _row_separation,
     _seed_blocks,
     _solve,
     find_rectangle,
 )
+from loopsurf.inscribed import _PAIR_BUDGET, _REFINE_BATCH, _REFINE_BATCH_CAP, _SAMPLE_BLOCK
 
 _REFINE_MAX_ITER = 200
 _REFINE_FD_STEP = 1e-7
@@ -281,3 +285,130 @@ def test_stacked_solve_isolates_a_singular_matrix():
     assert np.all(np.isnan(out[2]))
     for k in (0, 1, 3, 4):
         assert out[k].tobytes() == np.linalg.solve(lhs[k], rhs[k, :, 0]).tobytes()
+
+
+def _pair_blocks_sort_first(t1, t2, images, cell):
+    """The candidate pairs of the seed blocks as first batched: every pair
+    of a block is sorted into (i, j) order and separated, filtered after."""
+    n = len(images)
+    keys = np.floor(images / cell).astype(np.int64)
+    keys -= keys.min(axis=0) - 1
+    dims = keys.max(axis=0) + 2
+    radix = np.array([dims[1] * dims[2], dims[2], 1])
+    code = keys @ radix
+    shifts = (np.indices((3, 3, 3)).reshape(3, -1).T - 1) @ radix
+    order = np.argsort(code, kind="stable")
+    packed = code[order] * n + order
+    start, size = 0, _SAMPLE_BLOCK
+    while start < n:
+        i = np.arange(start, min(start + size, n))
+        first = (code[i][:, None] + shifts) * n
+        lo = np.searchsorted(packed, first)
+        counts = np.searchsorted(packed, first + i[:, None]) - lo
+        cut = max(1, np.searchsorted(np.cumsum(counts.sum(axis=1)), _PAIR_BUDGET, side="right"))
+        i, lo, counts = i[:cut], lo[:cut].ravel(), counts[:cut].ravel()
+        start, size = i[-1] + 1, 2 * cut
+        ends = np.cumsum(counts)
+        j = order[np.repeat(lo - ends + counts, counts) + np.arange(ends[-1])]
+        ii = np.repeat(np.repeat(i, len(shifts)), counts)
+        by_pair = np.argsort(ii * n + j)
+        j, ii = j[by_pair], ii[by_pair]
+        sep = _pair_separation((t1[j], t2[j]), (t1[ii], t2[ii]))
+        raw = np.linalg.norm(images[j] - images[ii], axis=1)
+        yield j, ii, sep, raw
+
+
+def _seeds_sort_first(t1, t2, block, capture, seed_gate, min_separation):
+    j, ii, sep, raw = block
+    tracked = float(np.min(raw[sep >= min_separation], initial=np.inf))
+    seed = (sep >= seed_gate) & (raw <= capture)
+    j, ii = j[seed], ii[seed]
+    return np.stack([t1[j], t2[j], t1[ii], t2[ii]], axis=1), tracked
+
+
+def _search_grid(curve, g):
+    """find_rectangle's samples, images and cell (= capture) at grid g."""
+    m, d = np.meshgrid(np.arange(g) / g, 0.25 * (np.arange(g) + 1.0) / g, indexing="ij")
+    t1, t2 = mod1(m - d).ravel(), mod1(m + d).ravel()
+    return t1, t2, _images(curve, t1, t2), 4.0 * (curve.total_length / np.pi) / g
+
+
+def _assert_seed_blocks_match(curve, g, min_seps):
+    """Every block of _seed_blocks at each min_separation against the
+    sort-first blocks, whose pairs are made once for all of them."""
+    t1, t2, images, cell = _search_grid(curve, g)
+    gates = [max(min_sep, 4.0 / g) for min_sep in min_seps]
+    got = zip(*(_seed_blocks(t1, t2, images, cell, cell, gate, min_sep)
+                for gate, min_sep in zip(gates, min_seps)))
+    tracked_values = []
+    for blocks, pairs in itertools.zip_longest(got, _pair_blocks_sort_first(t1, t2, images, cell)):
+        assert blocks is not None and pairs is not None
+        for (seeds, tracked), gate, min_sep in zip(blocks, gates, min_seps):
+            want_seeds, want_tracked = _seeds_sort_first(t1, t2, pairs, cell, gate, min_sep)
+            assert seeds.tobytes() == want_seeds.tobytes()
+            assert tracked == want_tracked
+            tracked_values.append(tracked)
+    return cell, tracked_values
+
+
+SEED_CURVES = [(name, RECT_FIRST_CURVES[name], g) for name, g in (
+    ("circle", 256), ("ellipse-2x1", 256), ("superellipse-2x1p4", 128),
+    ("triangle", 256), ("l-hexagon", 128))] + [
+    ("ellipse-10x1", lambda: make_preset("ellipse", [10.0, 1.0]), 64),
+    ("ellipse-20x1", lambda: make_preset("ellipse", [20.0, 1.0]), 64),
+    ("superellipse-1x1p0.5", lambda: make_preset("superellipse", [1.0, 1.0, 0.5]), 128),
+]
+
+
+@pytest.mark.parametrize("name,make,g", SEED_CURVES, ids=[c[0] for c in SEED_CURVES])
+def test_filter_first_seed_blocks_match_sort_first(name, make, g):
+    _assert_seed_blocks_match(make(), g, (1e-3, 0.01, 0.69))
+
+
+def test_filter_first_seed_blocks_track_far_pairs():
+    # at min_separation 0.4 no pair within capture of ellipse 2:1 at grid 16
+    # is separated, but a farther pair is: its distance, beyond capture, is
+    # the tracked value
+    capture, tracked = _assert_seed_blocks_match(make_preset("ellipse", [2.0, 1.0]), 16, (0.4,))
+    assert capture < tracked[0] < np.inf
+
+
+def _winning_batch(curve, g, tol, min_sep):
+    """The refine batch find_rectangle accepts its witness from, with the
+    uncut results and the index of the first accepted row."""
+    batch = _REFINE_BATCH
+    t1, t2, images, cell = _search_grid(curve, g)
+    for seeds, _ in _seed_blocks(t1, t2, images, cell, cell, max(min_sep, 4.0 / g), min_sep):
+        while len(seeds):
+            rows = seeds[:batch]
+            theta, cost = _refine(curve, rows, 0.02 * tol, min_sep)
+            seeds, batch = seeds[batch:], min(2 * batch, _REFINE_BATCH_CAP)
+            ok = np.flatnonzero((cost <= tol) & (_row_separation(mod1(theta)) >= min_sep))
+            if ok.size:
+                return rows, theta, cost, ok[0]
+    raise AssertionError("no witness")
+
+
+# circle at grid 32: two rows before the winner converge onto one chord
+# (pairs too close), so a cut at the first converged row is wrong
+CUT_CASES = [
+    ("circle", lambda: make_preset("circle", [1.0]), 32),
+    ("ellipse-2x1", lambda: make_preset("ellipse", [2.0, 1.0]), 64),
+    ("superellipse-2x1p4", RECT_FIRST_CURVES["superellipse-2x1p4"], 64),
+    ("quad", lambda: load_polyline(QUAD), 48),
+]
+
+
+@pytest.mark.parametrize("name,make,g", CUT_CASES, ids=[c[0] for c in CUT_CASES])
+def test_refine_cut_off_keeps_rows_up_to_the_first_accepted(name, make, g):
+    curve, tol, min_sep = make(), 1e-8, 1e-3
+    seeds, want_theta, want_cost, k = _winning_batch(curve, g, tol, min_sep)
+    theta, cost = _refine(curve, seeds, 0.02 * tol, min_sep, accept=tol)
+    assert theta[:k + 1].tobytes() == want_theta[:k + 1].tobytes()
+    assert cost[:k + 1].tobytes() == want_cost[:k + 1].tobytes()
+    got = find_rectangle(curve, grid_n=g, tol=tol, min_separation=min_sep)
+    want = _make_witness(curve, theta[k])
+    assert got.pairs == want.pairs
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    if name == "circle":
+        assert np.any(want_cost[:k] <= 0.02 * tol)
