@@ -14,10 +14,11 @@ import numpy as np
 
 PRESET_NAMES = ("circle", "ellipse", "superellipse")
 
-# arc-table refinement: start size, relative convergence target, hard cap
+# arc-table refinement: start size, relative convergence target, hard cap, knots per chunk
 _TABLE_START = 1024
 _TABLE_RTOL = 1e-10
 _TABLE_CAP = 1 << 22
+_CHUNK = 1 << 15
 # table segments per bucket of the lookup index (int32 per bucket)
 _BUCKET_SPAN = 2
 
@@ -96,7 +97,9 @@ class ClosedCurve:
 
     ``_locate`` looks targets up in ``arc_table`` through ``_index``, a
     bucket index over the table that the curve builds on first use. It is
-    not a field: it is derived from ``arc_table`` alone.
+    not a field: it is derived from ``arc_table`` alone. A preset keeps
+    ``raw_knots`` and ``arc_table`` at 8 bytes per entry each (16 MB at 2^20
+    entries), plus an int32 per bucket of the index (2 MiB at 2^20).
     """
 
     kind: str
@@ -129,10 +132,12 @@ class ClosedCurve:
         bucket, the count of entries after the first in lower buckets (int32),
         and steps is enough bisection for the fullest bucket."""
         k = max(1, (len(self.arc_table) - 1) // _BUCKET_SPAN)
-        counts = np.bincount(_bucket(self.arc_table[1:], k, self.arc_table[-1]), minlength=k)
-        starts = np.zeros(k, np.int32)
-        starts[1:] = np.cumsum(counts[:-1])
-        return starts, int(counts.max()).bit_length()
+        counts = np.zeros(k + 1, np.int32)       # counts[j + 1]: entries in bucket j, by chunk
+        for a in range(1, len(self.arc_table), _CHUNK):   # bucket ids never decrease
+            ids = _bucket(self.arc_table[a:a + _CHUNK], k, self.total_length)
+            counts[ids[0] + 1:ids[-1] + 2] += np.bincount(ids - ids[0])
+        steps = int(counts.max()).bit_length()
+        return np.cumsum(counts, dtype=np.int32, out=counts)[:k], steps
 
     def sample(self, n):
         """n points at t = 0, 1/n, ..., (n-1)/n."""
@@ -166,34 +171,44 @@ def _segment_lengths(points):
         return _lengths(np.diff(points, axis=0))
 
 
-def _table_at(kind, params, n):
-    knots = np.linspace(0.0, 1.0, n + 1)
-    table = np.concatenate([[0.0], np.cumsum(_segment_lengths(_raw_point(kind, params, knots)))])
-    return knots, table, _perimeter(table)
+def _table_at(kind, params, n, keep=False):
+    """Knots i / n, i = 0..n (np.linspace's, as n is a power of two), the chord polygon's
+    cumulative lengths at them and its perimeter, streamed _CHUNK knots at a time; only the
+    perimeter without keep. Each chunk diffs from the point before it and starts its cumsum at
+    the running total, so the additions are one np.cumsum's, in its order."""
+    knots, table = (np.arange(n + 1) * (1.0 / n), np.empty(n + 1)) if keep else (None, None)
+    total, pts, rising = 0.0, np.empty((0, 2)), True
+    for a in range(0, n + 1, _CHUNK):
+        b = min(a + _CHUNK, n + 1)
+        pts = np.concatenate([pts[-1:], _raw_point(kind, params, np.arange(a, b) * (1.0 / n))])
+        sums = np.cumsum(np.concatenate([[total], _segment_lengths(pts)]))
+        total = _perimeter(sums)
+        if keep:
+            table[b - len(sums):b] = sums
+            rising = rising and not np.any(np.diff(sums) <= 0.0)
+    if not rising:
+        raise ValueError("degenerate curve: arc table is not strictly increasing")
+    return knots, table, total
 
 
 def _build_arc_table(kind, params):
     """Chord-length table over the raw parameter, refined until the total
     length converges to _TABLE_RTOL relative (doubling from _TABLE_START).
 
-    The convergence test is global, so two extra refinement levels are added
-    at the end: they buy local inversion accuracy where curvature
-    concentrates (sharp superellipse flanks) at negligible cost."""
+    The convergence test is global, so the table kept is two levels finer, for local
+    inversion accuracy where curvature concentrates (sharp superellipse flanks): 4x the
+    converged level's knots, most of the build time and all of the memory kept."""
     n = _TABLE_START
     prev = None
     while True:
-        knots, table, total = _table_at(kind, params, n)
+        total = _table_at(kind, params, n)[2]
         if prev is not None and abs(total - prev) < _TABLE_RTOL * total:
             break
         if n >= _TABLE_CAP:
             break
         prev = total
         n *= 2
-    if n * 4 <= _TABLE_CAP:
-        knots, table, total = _table_at(kind, params, n * 4)
-    if np.any(np.diff(table) <= 0.0):
-        raise ValueError("degenerate curve: arc table is not strictly increasing")
-    return knots, table, total
+    return _table_at(kind, params, n * 4 if n * 4 <= _TABLE_CAP else n, keep=True)
 
 
 def make_preset(name, params):

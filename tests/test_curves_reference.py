@@ -1,15 +1,23 @@
-"""Curve evaluation against the binary-search reference.
+"""Curve construction and evaluation against full-array references.
 
-The reference is evaluation as first written: ``np.mod`` for the reduction
-to [0, 1) and ``searchsorted`` over the arc table for the inversion and the
-polyline segment search. The bucket lookup and ``t - floor(t)`` must return
-the same index and the same bits on every input.
+The evaluation reference is evaluation as first written: ``np.mod`` for the
+reduction to [0, 1) and ``searchsorted`` over the arc table for the inversion
+and the polyline segment search. The bucket lookup and ``t - floor(t)`` must
+return the same index and the same bits on every input.
+
+The construction reference builds each arc-table level from whole arrays
+(``np.linspace`` knots, one ``np.cumsum``) and the lookup index from one
+``bincount`` over the table. The streamed builders must return the same
+knots, table, perimeter, refinement level and index, byte for byte.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from loopsurf.curves import (_lengths, _locate, _raw_point, _segment_lengths, load_polyline,
-                             make_preset, mod1)
+from loopsurf import curves
+from loopsurf.curves import (_bucket, _lengths, _locate, _raw_point, _segment_lengths,
+                             load_polyline, make_preset, mod1)
 
 
 def _mod1_reference(t):
@@ -34,6 +42,117 @@ def _eval_reference(curve, t):
         idx, frac = _locate_reference(curve.arc_table, t * curve.total_length)
         s = curve.raw_knots[idx] + frac * (curve.raw_knots[idx + 1] - curve.raw_knots[idx])
     return _raw_point(curve.kind, curve.params, s)
+
+
+def _table_at_reference(kind, params, n):
+    knots = np.linspace(0.0, 1.0, n + 1)
+    table = np.concatenate([[0.0], np.cumsum(_segment_lengths(_raw_point(kind, params, knots)))])
+    return knots, table, curves._perimeter(table)
+
+
+def _build_arc_table_reference(kind, params):
+    n = curves._TABLE_START
+    prev = None
+    while True:
+        knots, table, total = _table_at_reference(kind, params, n)
+        if prev is not None and abs(total - prev) < curves._TABLE_RTOL * total:
+            break
+        if n >= curves._TABLE_CAP:
+            break
+        prev = total
+        n *= 2
+    if n * 4 <= curves._TABLE_CAP:
+        knots, table, total = _table_at_reference(kind, params, n * 4)
+    if np.any(np.diff(table) <= 0.0):
+        raise ValueError("degenerate curve: arc table is not strictly increasing")
+    return knots, table, total
+
+
+def _index_reference(table):
+    k = max(1, (len(table) - 1) // curves._BUCKET_SPAN)
+    counts = np.bincount(_bucket(table[1:], k, table[-1]), minlength=k)
+    starts = np.zeros(k, np.int32)
+    starts[1:] = np.cumsum(counts[:-1])
+    return starts, int(counts.max()).bit_length()
+
+
+def _assert_same_bytes(got, want):
+    # equal table shapes are the same refinement level
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        g, w = np.asarray(g), np.asarray(w)
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+ARC_TABLE_PRESETS = {
+    "ellipse-2x1": ("ellipse", (2.0, 1.0)),
+    "ellipse-10x1": ("ellipse", (10.0, 1.0)),
+    "ellipse-100x1": ("ellipse", (100.0, 1.0)),
+    "superellipse-2x1p4": ("superellipse", (2.0, 1.0, 4.0)),
+    "superellipse-1x1p0.5": ("superellipse", (1.0, 1.0, 0.5)),     # 2,097,153 entries
+    "superellipse-1x1p20": ("superellipse", (1.0, 1.0, 20.0)),
+    "ellipse-2x1-scale1e-150": ("ellipse", (2e-150, 1e-150)),
+    "ellipse-2x1-scale1e150": ("ellipse", (2e150, 1e150)),
+}
+
+
+@pytest.mark.parametrize("kind, params", list(ARC_TABLE_PRESETS.values()),
+                         ids=list(ARC_TABLE_PRESETS))
+def test_streamed_arc_table_matches_full_array(kind, params):
+    want = _build_arc_table_reference(kind, params)
+    curve = make_preset(kind, params)
+    got = (curve.raw_knots, curve.arc_table, curve.total_length)
+    _assert_same_bytes(got, want)
+    _assert_same_bytes(curve._index, _index_reference(curve.arc_table))
+
+
+@pytest.mark.parametrize("cap", [1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 19])
+@pytest.mark.parametrize("chunk", [1 << 15, 1000])
+@pytest.mark.parametrize("kind, params", [("ellipse", (10.0, 1.0)),
+                                          ("superellipse", (1.0, 1.0, 0.5))],
+                         ids=["ellipse-10x1", "superellipse-1x1p0.5"])
+def test_capped_arc_table_matches_full_array(monkeypatch, kind, params, cap, chunk):
+    # up to 2^13 the cap stops the refinement before it converges; at 2^19
+    # both curves converge with 4n past the cap and keep the converged level.
+    # Chunks of 1000 knots end off every power-of-two boundary
+    monkeypatch.setattr(curves, "_TABLE_CAP", cap)
+    monkeypatch.setattr(curves, "_CHUNK", chunk)
+    want = _build_arc_table_reference(kind, params)
+    assert len(want[1]) - 1 <= cap
+    _assert_same_bytes(curves._build_arc_table(kind, params), want)
+    curve = make_preset(kind, params)
+    _assert_same_bytes(curve._index, _index_reference(curve.arc_table))
+
+
+@pytest.mark.parametrize("kind, params, match", [
+    ("ellipse", (1e200, 1e200), "perimeter is not finite"),
+    ("ellipse", (1e300, 1.0), "perimeter is not finite"),
+    ("superellipse", (1.0, 1.0, 0.01), "degenerate curve"),
+], ids=["ellipse-1e200", "ellipse-1e300x1", "superellipse-1x1p0.01"])
+def test_arc_table_errors_match_full_array(kind, params, match):
+    with pytest.raises(ValueError, match=match) as want:
+        _build_arc_table_reference(kind, params)
+    with pytest.raises(ValueError, match=match) as got:
+        curves._build_arc_table(kind, params)
+    assert str(got.value) == str(want.value)
+
+
+def test_build_and_index_peak_memory():
+    # numpy reports its buffers to tracemalloc: the build holds little more
+    # than the table it keeps, and the index little more than its starts
+    tracemalloc.start()
+    try:
+        curve = make_preset("superellipse", (1.0, 1.0, 0.5))
+        build_peak = tracemalloc.get_traced_memory()[1]
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        starts, _ = curve._index
+        index_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert build_peak <= 1.25 * (curve.raw_knots.nbytes + curve.arc_table.nbytes)
+    assert index_peak <= starts.nbytes + 2 ** 20
 
 
 CURVES = {
@@ -66,6 +185,10 @@ def test_locate_matches_binary_search(curve):
     assert frac.tobytes() == want_frac.tobytes()
     # the bucket index takes at most 4 MB per 1M-entry table
     assert curve._index[0].nbytes <= 4e6 * len(table) / 2 ** 20
+
+
+def test_index_matches_full_array(curve):
+    _assert_same_bytes(curve._index, _index_reference(curve.arc_table))
 
 
 def test_eval_matches_reference(curve):
