@@ -20,8 +20,9 @@ from loopsurf import (
     verify_rectangle,
 )
 
-# aspect asks (best effort) for a short/long side ratio, else the first
-# collision in grid order wins and tends to be a thin sliver
+# aspect asks (best effort) for a short/long side ratio and searches the given
+# grid alone; without it, the first witness of the coarsest grid (16, 32, ...)
+# wins, which is seldom a thin sliver
 CASES = [
     ("circle r=1", from_spec("circle:1"), 64, 1e-9, 1.0),
     ("ellipse 2x1", from_spec("ellipse:2,1"), 128, 1e-8, 0.7),

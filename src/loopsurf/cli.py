@@ -171,7 +171,8 @@ def _build_parser():
 
     p = sub.add_parser("rect", help="search for an inscribed rectangle")
     p.add_argument("--curve", required=True)
-    p.add_argument("--grid", type=int, required=True)
+    p.add_argument("--grid", type=int, required=True, help="finest search grid (>= 16); "
+                   "grids 16, 32, 64, ... below it go first, and the coarsest with a witness wins")
     p.add_argument("--tol", type=float, required=True)
     p.add_argument("--min-sep", dest="min_sep", type=float, default=1e-3)
     p.set_defaults(func=_cmd_rect)

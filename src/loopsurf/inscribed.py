@@ -106,7 +106,7 @@ def _norms(res):
 
 
 def _solve(lhs, rhs):
-    """Solve the stacked systems lhs (B, 4, 4) x = rhs (B, 4, 1) for x (B, 4).
+    """Solve the stacked systems lhs (B, k, k) x = rhs (B, k, 1) for x (B, k).
     A stacked solve raises if any matrix is singular; slogdet flags those by
     the same LU pivots. A singular system gives NaN, whose trial never lowers
     the cost (one try)."""
@@ -125,6 +125,10 @@ def _refine(curve, theta0, target, min_separation, accept=None):
     (the curve may be a polyline with corners) from 12 curve points per row:
     the four at theta, and each moved by ±h. A row stops early when its two
     chords drift into coincidence. Returns parameters and final costs.
+
+    The LM step is J^T y with (J J^T + lam) y = -r, solved in the residual
+    space, not through J^T J: that has rank 3, and a tiny lam fills its null
+    direction (along the rectangle family) with amplified rounding.
 
     With ``accept``, the first-witness cut-off: once a row stops with cost
     <= accept and its pairs min_separation apart (find_rectangle's
@@ -155,15 +159,15 @@ def _refine(curve, theta0, target, min_separation, accept=None):
         fixed = _chords(base[:, 0::2], base[:, 1::2])[:, :, None, None]  # chords (0, 1), (2, 3)
         r8 = np.concatenate([moved[:, :2] - fixed[:, 1], fixed[:, 0] - moved[:, 2:]], axis=1)
         jac_t = (r8[:, :, 0] - r8[:, :, 1]) / (2.0 * _REFINE_FD_STEP)   # (L, param, residual)
-        gram = jac_t @ jac_t.transpose(0, 2, 1)
-        rhs = -jac_t @ res[live][:, :, None]
+        gram = jac_t.transpose(0, 2, 1) @ jac_t
+        rhs = -res[live][:, :, None]
         trying = np.arange(len(live))           # rows of live not yet improved
         for _ in range(12):
             if not trying.size:
                 break
             rows = live[trying]
-            trial = theta[rows] + _solve(gram[trying] + lam[rows][:, None, None] * np.eye(4),
-                                         rhs[trying])
+            y = _solve(gram[trying] + lam[rows][:, None, None] * np.eye(3), rhs[trying])
+            trial = theta[rows] + (jac_t[trying] @ y[:, :, None])[:, :, 0]
             trial_res = _residual_many(curve, trial)
             trial_cost = _norms(trial_res)
             better = trial_cost < cost[rows]
@@ -247,42 +251,14 @@ def _check_tol(tol):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
-def find_rectangle(curve, grid_n=64, tol=1e-7, min_separation=1e-3, aspect=None):
-    """Search for an inscribed rectangle.
-
-    Samples the canonical unordered-pair domain (m, d) on a grid_n x grid_n
-    grid and seeds a refinement at every pair of samples whose chord images
-    share a neighbourhood. Seeds are refined in ordered batches, and the
-    first in grid order whose combined residual ||(mid difference,
-    diagonal-length difference)|| drops to ``tol``, with its pairs still
-    ``min_separation`` apart on the band, wins; else NotFound carries the
-    best residual seen. Seed pairs must also be max(min_separation,
-    4/grid_n) apart: closer ones are resolution artifacts of one image
-    sheet, and chasing them makes the search quadratic in grid density. A
-    rectangle whose diagonals are that close is found at a larger grid_n.
-
-    ``aspect``, when given, is a best-effort preference for the short/long
-    side ratio: an accepted witness within a factor 1.5 returns at once,
-    otherwise the whole grid is scanned and the closest ratio wins.
-    """
-    if not isinstance(grid_n, numbers.Integral) or grid_n < 16:
-        raise ValueError(f"grid_n must be an integer >= 16, got {grid_n!r}")
-    _check_tol(tol)
-    if not 0.0 < min_separation < np.inf:
-        raise ValueError(f"min_separation must be positive and finite, got {min_separation!r}")
-    if aspect is not None and not 0.0 < aspect <= 1.0:
-        raise ValueError(f"aspect must lie in (0, 1], got {aspect!r}")
-
+def _search_level(curve, t1, t2, images, grid_n, tol, min_separation, aspect):
+    """find_rectangle on the grid_n x grid_n samples (t1, t2) with their
+    images alone: the witness (or None) and the best residual seen."""
     # rotation-invariant length scale so candidate generation (a pure
     # image-distance criterion) commutes with rigid motions of the curve
     scale = curve.total_length / np.pi
     cell = 4.0 * scale / grid_n
     capture = cell
-
-    m, d = np.meshgrid(np.arange(grid_n) / grid_n,
-                       0.25 * (np.arange(grid_n) + 1.0) / grid_n, indexing="ij")
-    t1, t2 = mod1(m - d).ravel(), mod1(m + d).ravel()
-    images = _images(curve, t1, t2)
 
     best = np.inf
     target = 0.02 * tol
@@ -303,19 +279,58 @@ def find_rectangle(curve, grid_n=64, tol=1e-7, min_separation=1e-3, aspect=None)
                 if _pair_separation((t[0], t[1]), (t[2], t[3])) >= min_separation:
                     witness = _make_witness(curve, theta)
                     if aspect is None:
-                        return witness
+                        return witness, best
                     ratio = _aspect_ratio(witness)
                     if ratio > 0.0 and max(ratio / aspect, aspect / ratio) <= 1.5:
-                        return witness
+                        return witness, best
                     if abs(ratio - aspect) < best_ratio_gap:
                         best_witness, best_ratio_gap = witness, abs(ratio - aspect)
+    return best_witness, best
 
-    if best_witness is not None:
-        return best_witness
+
+def find_rectangle(curve, grid_n=64, tol=1e-7, min_separation=1e-3, aspect=None):
+    """Search for an inscribed rectangle.
+
+    Samples the canonical unordered-pair domain (m, d) on g x g grids, g =
+    16, 32, 64, ... and last grid_n itself, and returns the first witness of
+    the coarsest grid that has one. A grid seeds a refinement at every pair
+    of samples whose chord images share a neighbourhood. Seeds are refined
+    in ordered batches, and the first in grid order whose combined residual
+    ||(mid difference, diagonal-length difference)|| drops to ``tol``, with
+    its pairs still ``min_separation`` apart on the band, wins; else
+    NotFound carries the best residual of all grids. Seed pairs must also be
+    max(min_separation, 4/g) apart: closer ones are resolution artifacts of
+    one image sheet, and chasing them makes the search quadratic in grid
+    density. So a coarse grid finds a fatter rectangle sooner, and one whose
+    diagonals are that close is left to a finer grid.
+
+    ``aspect``, when given, is a best-effort preference for the short/long
+    side ratio, on the grid_n grid alone: an accepted witness within a
+    factor 1.5 returns at once, otherwise the whole grid is scanned and the
+    closest ratio wins.
+    """
+    if not isinstance(grid_n, numbers.Integral) or grid_n < 16:
+        raise ValueError(f"grid_n must be an integer >= 16, got {grid_n!r}")
+    _check_tol(tol)
+    if not 0.0 < min_separation < np.inf:
+        raise ValueError(f"min_separation must be positive and finite, got {min_separation!r}")
+    if aspect is not None and not 0.0 < aspect <= 1.0:
+        raise ValueError(f"aspect must lie in (0, 1], got {aspect!r}")
+
+    coarse = [16 << k for k in range(int(grid_n).bit_length()) if 16 << k < grid_n]
+    best = np.inf
+    for g in ([] if aspect is not None else coarse) + [grid_n]:
+        m, d = np.meshgrid(np.arange(g) / g, 0.25 * (np.arange(g) + 1.0) / g, indexing="ij")
+        t1, t2 = mod1(m - d).ravel(), mod1(m + d).ravel()
+        images = _images(curve, t1, t2)
+        witness, g_best = _search_level(curve, t1, t2, images, g, tol, min_separation, aspect)
+        if witness is not None:
+            return witness
+        best = min(best, g_best)
 
     if not np.isfinite(best):
         # nothing landed in a shared neighborhood: report the honest best
-        # over a deterministic subsample of separated pairs
+        # over a deterministic subsample of the grid_n samples' separated pairs
         sub = np.arange(0, len(images), max(1, len(images) // 1024))
         a, b = (sub[k] for k in np.triu_indices(len(sub), k=1))
         ok = _pair_separation((t1[a], t2[a]), (t1[b], t2[b])) >= min_separation

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from loopsurf.curves import load_polyline, make_preset
+from loopsurf.curves import load_polyline, make_preset, mod1
 from loopsurf.inscribed import (
     NotFound,
     RectangleWitness,
     _images,
+    _search_level,
     find_rectangle,
     verify_rectangle,
 )
@@ -185,19 +186,39 @@ def test_soundness_witness_passes_at_10x_tol():
         assert verify_rectangle(curve, w, tol=10 * tol).passes
 
 
-def test_rigid_motion_equivariance():
+def _assert_rigid_motion_equivariance(search):
     quad = np.array([(0.0, 0.0), (4.0, 0.0), (5.0, 2.0), (1.0, 3.0)])
-    base = find_rectangle(load_polyline(quad), grid_n=48, tol=1e-7)
+    base = search(load_polyline(quad))
     assert isinstance(base, RectangleWitness)
     theta = 0.7
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     moved = quad @ rot.T + np.array([3.0, -2.0])
-    out = find_rectangle(load_polyline(moved), grid_n=48, tol=1e-7)
+    out = search(load_polyline(moved))
     assert isinstance(out, RectangleWitness)
     for (p, q) in zip(np.ravel(base.pairs), np.ravel(out.pairs)):
         assert abs(p - q) < 1e-9
     want = base.vertices @ rot.T + np.array([3.0, -2.0])
     assert np.max(np.abs(want - out.vertices)) < 1e-9
+
+
+def test_rigid_motion_equivariance():
+    _assert_rigid_motion_equivariance(lambda c: find_rectangle(c, grid_n=48, tol=1e-7))
+
+
+@pytest.mark.parametrize("grid_n", [16, 32, 48, 64])
+def test_rigid_motion_equivariance_on_every_level(grid_n):
+    # the search at each grid alone, and find_rectangle with grid_n as its
+    # finest level; an LM step solved through the rank-3 normal matrix
+    # J^T J slid the witness along its rectangle family by up to 2.5e-9
+    def level(curve):
+        m, d = np.meshgrid(np.arange(grid_n) / grid_n,
+                           0.25 * (np.arange(grid_n) + 1.0) / grid_n, indexing="ij")
+        t1, t2 = mod1(m - d).ravel(), mod1(m + d).ravel()
+        return _search_level(curve, t1, t2, _images(curve, t1, t2), grid_n, 1e-7, 1e-3,
+                             None)[0]
+
+    _assert_rigid_motion_equivariance(level)
+    _assert_rigid_motion_equivariance(lambda c: find_rectangle(c, grid_n=grid_n, tol=1e-7))
 
 
 # ----------------------------------------------------------- verify_rectangle

@@ -3,7 +3,10 @@
 The reference is the search as first written: a dict of image cells probed
 sample by sample in grid order, and one damped least-squares solve per seed.
 The batched search keeps its seeds, seed order, solver arithmetic and
-acceptance rule, so the two must return the same witness bit for bit.
+acceptance rule, so one level of it must return the same witness as the
+reference on that grid bit for bit. find_rectangle searches the levels 16,
+32, 64, ... up to grid_n, so it must return the reference witness of the
+coarsest level that has one.
 """
 import itertools
 
@@ -22,6 +25,7 @@ from loopsurf.inscribed import (
     _refine,
     _residual_many as _residual_rows,
     _row_separation,
+    _search_level,
     _seed_blocks,
     _solve,
     find_rectangle,
@@ -46,7 +50,7 @@ def _refine_scalar(curve, theta0, target, min_separation):
     cost = float(np.linalg.norm(res))
     lam = 1e-6
     h = _REFINE_FD_STEP
-    eye = np.eye(4)
+    eye = np.eye(3)
     steps = np.zeros((8, 4))
     for k in range(4):
         steps[2 * k, k] = h
@@ -61,9 +65,10 @@ def _refine_scalar(curve, theta0, target, min_separation):
         jac = ((r8[0::2] - r8[1::2]) / (2.0 * h)).T
         improved = False
         for _ in range(12):
-            lhs = jac.T @ jac + lam * eye
+            # the LM step in residual space: jac.T @ (jac jac.T + lam)^-1 (-res)
+            lhs = jac @ jac.T + lam * eye
             try:
-                delta = np.linalg.solve(lhs, -jac.T @ res)
+                delta = jac.T @ np.linalg.solve(lhs, -res)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -81,7 +86,8 @@ def _refine_scalar(curve, theta0, target, min_separation):
     return theta, cost
 
 
-def find_rectangle_reference(curve, grid_n=64, tol=1e-7, min_separation=1e-3, aspect=None):
+def find_rectangle_reference(curve, grid_n=64, tol=1e-7, min_separation=1e-3, aspect=None,
+                             fallback=True):
     scale = curve.total_length / np.pi
     cell = 4.0 * scale / grid_n
     capture = cell
@@ -130,7 +136,7 @@ def find_rectangle_reference(curve, grid_n=64, tol=1e-7, min_separation=1e-3, as
         grid_hash.setdefault((kx, ky, kz), []).append(idx)
     if best_witness is not None:
         return best_witness
-    if not np.isfinite(best):
+    if fallback and not np.isfinite(best):
         stride = max(1, len(images) // 1024)
         sub = np.arange(0, len(images), stride)
         ii, jj = np.triu_indices(len(sub), k=1)
@@ -142,11 +148,45 @@ def find_rectangle_reference(curve, grid_n=64, tol=1e-7, min_separation=1e-3, as
     return NotFound(best_residual=float(best))
 
 
+def _levels(grid_n):
+    """find_rectangle's grids: 16, 32, 64, ... below grid_n, then grid_n."""
+    return [g for g in (16, 32, 64, 128, 256, 512) if g < grid_n] + [grid_n]
+
+
+def coarse_to_fine_reference(curve, grid_n, tol, min_separation=1e-3):
+    """The reference witness of the coarsest level that has one; else the
+    least best residual of all levels or, when no level has a finite one,
+    the subsample fallback of the grid_n level alone."""
+    best = np.inf
+    for g in _levels(grid_n):
+        out = find_rectangle_reference(curve, g, tol, min_separation, fallback=False)
+        if isinstance(out, RectangleWitness):
+            return out
+        best = min(best, out.best_residual)
+    if np.isfinite(best):
+        return NotFound(best_residual=best)
+    return find_rectangle_reference(curve, grid_n, tol, min_separation)
+
+
+def _level_witness(curve, grid_n, tol, min_separation=1e-3, aspect=None):
+    """The single-grid search of find_rectangle at grid_n."""
+    t1, t2, images, _ = _search_grid(curve, grid_n)
+    return _search_level(curve, t1, t2, images, grid_n, tol, min_separation, aspect)[0]
+
+
+def _assert_same_witness(got, want):
+    assert isinstance(want, RectangleWitness) and isinstance(got, RectangleWitness)
+    assert got.pairs == want.pairs
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert (got.midpoint_residual, got.length_residual) == \
+        (want.midpoint_residual, want.length_residual)
+
+
 TRIANGLE = [(0.0, 0.0), (4.0, 0.0), (1.0, 3.0)]
 QUAD = [(0.0, 0.0), (4.0, 0.0), (5.0, 2.0), (1.0, 3.0)]
 
-# ellipse 20:1 drives some damped normal matrices singular, so it covers the
-# per-seed fallback of the stacked solve; aspect=0.5 forces the full scan
+# ellipse 20:1 drove some 4 x 4 damped normal matrices singular (the 3 x 3
+# residual-space ones stay regular); aspect=0.5 forces the full scan
 WITNESS_CASES = [
     ("circle", lambda: make_preset("circle", [1.0]), dict(grid_n=32, tol=1e-9)),
     ("ellipse-2x1", lambda: make_preset("ellipse", [2.0, 1.0]), dict(grid_n=64, tol=1e-8)),
@@ -160,14 +200,14 @@ WITNESS_CASES = [
 
 @pytest.mark.parametrize("name,make,kwargs", WITNESS_CASES, ids=[c[0] for c in WITNESS_CASES])
 def test_batched_search_returns_reference_witness(name, make, kwargs):
+    # one level at grid_n against the single-grid reference; find_rectangle
+    # against the coarsest level with a witness, or grid_n alone with aspect
     curve = make()
     want = find_rectangle_reference(curve, **kwargs)
-    got = find_rectangle(curve, **kwargs)
-    assert isinstance(want, RectangleWitness) and isinstance(got, RectangleWitness)
-    assert got.pairs == want.pairs
-    assert got.vertices.tobytes() == want.vertices.tobytes()
-    assert (got.midpoint_residual, got.length_residual) == \
-        (want.midpoint_residual, want.length_residual)
+    _assert_same_witness(_level_witness(curve, **kwargs), want)
+    if "aspect" not in kwargs:
+        want = coarse_to_fine_reference(curve, **kwargs)
+    _assert_same_witness(find_rectangle(curve, **kwargs), want)
 
 
 @pytest.mark.parametrize("make,kwargs", [
@@ -176,18 +216,26 @@ def test_batched_search_returns_reference_witness(name, make, kwargs):
     # seeds converge but onto chords closer than min_separation: the best
     # residual is a refine cost
     (lambda: load_polyline(TRIANGLE), dict(grid_n=16, tol=1e-12, min_separation=0.4)),
-], ids=["no-separated-pair", "collapsed-seeds"])
+    # over levels 16, 32 and 64: the fallback runs once, at grid 64, and
+    # keeps its single-grid value
+    (lambda: make_preset("circle", [1.0]), dict(grid_n=64, tol=1e-12, min_separation=0.69)),
+    (lambda: load_polyline(TRIANGLE), dict(grid_n=64, tol=1e-12, min_separation=0.4)),
+], ids=["no-separated-pair", "collapsed-seeds", "no-separated-pair-g64", "collapsed-seeds-g64"])
 def test_batched_search_returns_reference_best_residual(make, kwargs):
     curve = make()
-    want = find_rectangle_reference(curve, **kwargs)
+    want = coarse_to_fine_reference(curve, **kwargs)
     got = find_rectangle(curve, **kwargs)
     assert isinstance(want, NotFound) and isinstance(got, NotFound)
     assert got.best_residual == want.best_residual
+    if kwargs["grid_n"] == 16:
+        assert want == find_rectangle_reference(curve, **kwargs)
+    if kwargs["min_separation"] == 0.69:
+        assert got == find_rectangle_reference(curve, **kwargs)
 
 
 def test_batched_refine_matches_scalar_refine_per_seed():
-    # seeds 32..63 of ellipse 20:1 at grid 32, one batch; the damped normal
-    # matrix of seeds 38, 51, 53 and 54 turns singular at some step
+    # seeds 32..63 of ellipse 20:1 at grid 32, one batch; the 4 x 4 damped
+    # normal matrix of seeds 38, 51, 53 and 54 turned singular at some step
     curve = make_preset("ellipse", [20.0, 1.0])
     g, tol, min_sep = 32, 1e-8, 1e-3
     cell = 4.0 * (curve.total_length / np.pi) / g
@@ -220,15 +268,15 @@ def _refine_32_point(curve, theta0, target, min_separation):
             break
         r8 = _residual_rows(curve, theta[live][:, None, :] + steps)
         jac_t = (r8[:, 0::2] - r8[:, 1::2]) / (2.0 * _REFINE_FD_STEP)
-        gram = jac_t @ jac_t.transpose(0, 2, 1)
-        rhs = -jac_t @ res[live][:, :, None]
+        gram = jac_t.transpose(0, 2, 1) @ jac_t
+        rhs = -res[live][:, :, None]
         trying = np.arange(len(live))
         for _ in range(12):
             if not trying.size:
                 break
             rows = live[trying]
-            trial = theta[rows] + _solve(gram[trying] + lam[rows][:, None, None] * np.eye(4),
-                                         rhs[trying])
+            y = _solve(gram[trying] + lam[rows][:, None, None] * np.eye(3), rhs[trying])
+            trial = theta[rows] + (jac_t[trying] @ y[:, :, None])[:, :, 0]
             trial_res = _residual_rows(curve, trial)
             trial_cost = _norms(trial_res)
             better = trial_cost < cost[rows]
@@ -374,8 +422,9 @@ def test_filter_first_seed_blocks_track_far_pairs():
 
 
 def _winning_batch(curve, g, tol, min_sep):
-    """The refine batch find_rectangle accepts its witness from, with the
-    uncut results and the index of the first accepted row."""
+    """The refine batch the search at grid g accepts its witness from, with
+    the uncut results and the index of the first accepted row; None if the
+    grid has no witness."""
     batch = _REFINE_BATCH
     t1, t2, images, cell = _search_grid(curve, g)
     for seeds, _ in _seed_blocks(t1, t2, images, cell, cell, max(min_sep, 4.0 / g), min_sep):
@@ -386,7 +435,7 @@ def _winning_batch(curve, g, tol, min_sep):
             ok = np.flatnonzero((cost <= tol) & (_row_separation(mod1(theta)) >= min_sep))
             if ok.size:
                 return rows, theta, cost, ok[0]
-    raise AssertionError("no witness")
+    return None
 
 
 # circle at grid 32: two rows before the winner converge onto one chord
@@ -406,9 +455,27 @@ def test_refine_cut_off_keeps_rows_up_to_the_first_accepted(name, make, g):
     theta, cost = _refine(curve, seeds, 0.02 * tol, min_sep, accept=tol)
     assert theta[:k + 1].tobytes() == want_theta[:k + 1].tobytes()
     assert cost[:k + 1].tobytes() == want_cost[:k + 1].tobytes()
-    got = find_rectangle(curve, grid_n=g, tol=tol, min_separation=min_sep)
-    want = _make_witness(curve, theta[k])
-    assert got.pairs == want.pairs
-    assert got.vertices.tobytes() == want.vertices.tobytes()
+    _assert_same_witness(_level_witness(curve, g, tol, min_sep), _make_witness(curve, theta[k]))
     if name == "circle":
         assert np.any(want_cost[:k] <= 0.02 * tol)
+    # find_rectangle: the uncut winner of the coarsest level with a witness
+    _, level_theta, _, level_k = next(filter(None, (_winning_batch(curve, level, tol, min_sep)
+                                                    for level in _levels(g))))
+    _assert_same_witness(find_rectangle(curve, grid_n=g, tol=tol, min_separation=min_sep),
+                         _make_witness(curve, level_theta[level_k]))
+
+
+RECT_FIRST_GRIDS = {"circle": 256, "ellipse-2x1": 256, "superellipse-2x1p4": 128,
+                    "triangle": 256, "l-hexagon": 128}
+
+
+@pytest.mark.parametrize("name", sorted(RECT_FIRST_CURVES))
+def test_grid_n_is_a_ceiling_on_rect_first_curves(name):
+    # every rect-first curve has a witness at grid 16, so its search at the
+    # rect-first grid returns that witness, a rectangle far from a sliver
+    curve = RECT_FIRST_CURVES[name]()
+    got = find_rectangle(curve, grid_n=RECT_FIRST_GRIDS[name], tol=1e-8)
+    _assert_same_witness(got, find_rectangle_reference(curve, grid_n=16, tol=1e-8))
+    v = got.vertices
+    sides = np.linalg.norm(v[1] - v[0]), np.linalg.norm(v[2] - v[1])
+    assert min(sides) / max(sides) >= 0.3
