@@ -8,7 +8,6 @@ polylines start at their first vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -19,8 +18,6 @@ _TABLE_START = 1024
 _TABLE_RTOL = 1e-10
 _TABLE_CAP = 1 << 22
 _CHUNK = 1 << 15
-# table segments per bucket of the lookup index (int32 per bucket)
-_BUCKET_SPAN = 2
 
 
 def mod1(t):
@@ -30,24 +27,12 @@ def mod1(t):
     return np.where(r >= 1.0, 0.0, r)
 
 
-def _bucket(target, k, total):
-    """Monotone map of targets to k equal buckets of [0, total]; NaN last."""
-    return np.fmax(np.fmin(target * (k / total), k - 1), 0.0).astype(np.intp)
-
-
-def _locate(table, index, target):
+def _locate(table, target):
     """Segment index into the increasing table holding each target, and the
     target's linear fraction along that segment. The index is the number of
     entries after the first that the target reaches (NaN reaches all, as it
-    sorts last), capped at the last segment: clip(searchsorted(table, target,
-    "right") - 1, 0, len(table) - 2) in constant time, from the target's
-    bucket and a fixed number of bisection steps."""
-    starts, steps = index
-    idx = starts[_bucket(target, len(starts), table[-1])]
-    for p in [1 << k for k in reversed(range(steps))]:
-        nxt = idx + p
-        idx = np.where(target < table.take(nxt, mode="clip"), idx, nxt)
-    idx = np.minimum(idx, len(table) - 2)
+    sorts last), capped at the last segment."""
+    idx = np.clip(np.searchsorted(table, target, "right") - 1, 0, len(table) - 2)
     return idx, (target - table[idx]) / (table[idx + 1] - table[idx])
 
 
@@ -72,9 +57,10 @@ def _raw_point(kind, params, s):
     raise ValueError(f"unknown curve kind {kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosedCurve:
-    """A closed planar curve, immutable after construction.
+    """A closed planar curve, immutable after construction. Curves compare
+    and hash by identity, as their array fields have no single truth value.
 
     Attributes
     ----------
@@ -84,31 +70,23 @@ class ClosedCurve:
         Preset shape parameters; empty for polylines.
     vertices : np.ndarray or None
         Polyline vertices (k, 2), closing segment implicit; None for presets.
-    raw_knots : np.ndarray
-        Raw-parameter samples in [0, 1] backing the arc-length table.
     arc_table : np.ndarray
-        Strictly increasing cumulative lengths at ``raw_knots``.
+        Strictly increasing cumulative lengths: of a polyline at its vertices,
+        of an ellipse or superellipse chart at the raw-parameter knots i / n,
+        i = 0..n, with n a power of two; the circle keeps [0, perimeter] only.
     total_length : float
         Curve perimeter, same units as the coordinates.
-    uniform_speed : bool
-        True when the raw parameter is already proportional to arc length
-        (circle, polyline); evaluation then skips the table inversion from arc
-        length to raw parameter (a polyline still looks up its segment).
 
-    ``_locate`` looks targets up in ``arc_table`` through ``_index``, a
-    bucket index over the table that the curve builds on first use. It is
-    not a field: it is derived from ``arc_table`` alone. A preset keeps
-    ``raw_knots`` and ``arc_table`` at 8 bytes per entry each (16 MB at 2^20
-    entries), plus an int32 per bucket of the index (2 MiB at 2^20).
+    The knots are not kept: with n a power of two, knot i is exactly
+    ``i * (1 / n)``, and so is the gap to the next knot. A preset keeps 8
+    bytes per table entry (8.4 MB at 2^20 entries).
     """
 
     kind: str
     params: tuple
     vertices: np.ndarray | None
-    raw_knots: np.ndarray
     arc_table: np.ndarray
     total_length: float
-    uniform_speed: bool
 
     def eval(self, t):
         """Point on the curve at normalized arc length ``t`` (1-periodic).
@@ -116,28 +94,14 @@ class ClosedCurve:
         Accepts a scalar or an array; returns shape (..., 2).
         """
         t = mod1(np.asarray(t, dtype=float))
-        if self.vertices is None and self.uniform_speed:     # circle: no table
+        if self.kind == "circle":          # the angle fraction is the arc fraction
             return _raw_point(self.kind, self.params, t)
-        idx, frac = _locate(self.arc_table, self._index, t * self.total_length)
+        idx, frac = _locate(self.arc_table, t * self.total_length)
         if self.vertices is not None:                        # polyline: along the segment
             lo = self.vertices[idx]
             return lo + frac[..., None] * (self.vertices.take(idx + 1, axis=0, mode="wrap") - lo)
-        s = self.raw_knots[idx] + frac * (self.raw_knots[idx + 1] - self.raw_knots[idx])
-        return _raw_point(self.kind, self.params, s)
-
-    @cached_property
-    def _index(self):
-        """(starts, steps) for _locate. [0, perimeter] is cut into equal
-        buckets, one per _BUCKET_SPAN table segments; starts holds, per
-        bucket, the count of entries after the first in lower buckets (int32),
-        and steps is enough bisection for the fullest bucket."""
-        k = max(1, (len(self.arc_table) - 1) // _BUCKET_SPAN)
-        counts = np.zeros(k + 1, np.int32)       # counts[j + 1]: entries in bucket j, by chunk
-        for a in range(1, len(self.arc_table), _CHUNK):   # bucket ids never decrease
-            ids = _bucket(self.arc_table[a:a + _CHUNK], k, self.total_length)
-            counts[ids[0] + 1:ids[-1] + 2] += np.bincount(ids - ids[0])
-        steps = int(counts.max()).bit_length()
-        return np.cumsum(counts, dtype=np.int32, out=counts)[:k], steps
+        step = 1.0 / (len(self.arc_table) - 1)
+        return _raw_point(self.kind, self.params, idx * step + frac * step)
 
     def sample(self, n):
         """n points at t = 0, 1/n, ..., (n-1)/n."""
@@ -172,11 +136,11 @@ def _segment_lengths(points):
 
 
 def _table_at(kind, params, n, keep=False):
-    """Knots i / n, i = 0..n (np.linspace's, as n is a power of two), the chord polygon's
-    cumulative lengths at them and its perimeter, streamed _CHUNK knots at a time; only the
-    perimeter without keep. Each chunk diffs from the point before it and starts its cumsum at
-    the running total, so the additions are one np.cumsum's, in its order."""
-    knots, table = (np.arange(n + 1) * (1.0 / n), np.empty(n + 1)) if keep else (None, None)
+    """The chord polygon's cumulative lengths at the knots i / n, i = 0..n, and its perimeter,
+    streamed _CHUNK knots at a time; the table is None without keep. Knot i is i * (1 / n),
+    exact (np.linspace's) for n a power of two. Each chunk diffs from the point before it and
+    starts its cumsum at the running total, so the additions are one np.cumsum's, in its order."""
+    table = np.empty(n + 1) if keep else None
     total, pts, rising = 0.0, np.empty((0, 2)), True
     for a in range(0, n + 1, _CHUNK):
         b = min(a + _CHUNK, n + 1)
@@ -188,12 +152,13 @@ def _table_at(kind, params, n, keep=False):
             rising = rising and not np.any(np.diff(sums) <= 0.0)
     if not rising:
         raise ValueError("degenerate curve: arc table is not strictly increasing")
-    return knots, table, total
+    return table, total
 
 
 def _build_arc_table(kind, params):
-    """Chord-length table over the raw parameter, refined until the total
-    length converges to _TABLE_RTOL relative (doubling from _TABLE_START).
+    """Chord-length table over the raw parameter, and the perimeter, refined until the
+    total length converges to _TABLE_RTOL relative (doubling from _TABLE_START). The
+    table has n + 1 entries at the knots i / n, with n a power of two.
 
     The convergence test is global, so the table kept is two levels finer, for local
     inversion accuracy where curvature concentrates (sharp superellipse flanks): 4x the
@@ -201,7 +166,7 @@ def _build_arc_table(kind, params):
     n = _TABLE_START
     prev = None
     while True:
-        total = _table_at(kind, params, n)[2]
+        total = _table_at(kind, params, n)[1]
         if prev is not None and abs(total - prev) < _TABLE_RTOL * total:
             break
         if n >= _TABLE_CAP:
@@ -235,10 +200,9 @@ def make_preset(name, params):
         (r,) = params
         table = np.array([0.0, 2.0 * np.pi * r])
         total = _perimeter(table)
-        return ClosedCurve("circle", params, None, np.array([0.0, 1.0]), table, total, True)
+        return ClosedCurve("circle", params, None, table, total)
 
-    knots, table, total = _build_arc_table(name, params)
-    return ClosedCurve(name, params, None, knots, table, total, False)
+    return ClosedCurve(name, params, None, *_build_arc_table(name, params))
 
 
 def load_polyline(records):
@@ -264,7 +228,7 @@ def load_polyline(records):
         raise ValueError(f"zero-length segment between vertices {i} and {i + 1}")
     table = np.concatenate([[0.0], np.cumsum(seg)])
     total = _perimeter(table)
-    return ClosedCurve("polyline", (), verts, table / total, table, total, True)
+    return ClosedCurve("polyline", (), verts, table, total)
 
 
 def load_polyline_csv(source):

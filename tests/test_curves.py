@@ -153,6 +153,16 @@ def test_arc_table_monotone():
         assert curve.total_length > 0
 
 
+def test_curves_compare_and_hash_by_identity():
+    # array fields have no single truth value, so equality is identity
+    for build in (lambda: make_preset("circle", (1,)),
+                  lambda: load_polyline([(0, 0), (1, 0), (0, 1)])):
+        c = build()
+        assert c == c
+        assert (c == build()) is False
+        assert {c: 1}[c] == 1
+
+
 def test_csv_roundtrip_with_header():
     text = "x,y\n0,0\n4,0\n1,3\n"
     curve = load_polyline_csv(io.StringIO(text))

@@ -1,22 +1,23 @@
 """Curve construction and evaluation against full-array references.
 
 The evaluation reference is evaluation as first written: ``np.mod`` for the
-reduction to [0, 1) and ``searchsorted`` over the arc table for the inversion
-and the polyline segment search. The bucket lookup and ``t - floor(t)`` must
-return the same index and the same bits on every input.
+reduction to [0, 1), ``searchsorted`` over the arc table for the inversion
+and the polyline segment search, and a preset's raw parameter interpolated
+between ``np.linspace`` knots. ``t - floor(t)`` and the knots derived from
+the segment index (``idx * step``) must give the same bits on every input.
 
 The construction reference builds each arc-table level from whole arrays
-(``np.linspace`` knots, one ``np.cumsum``) and the lookup index from one
-``bincount`` over the table. The streamed builders must return the same
-knots, table, perimeter, refinement level and index, byte for byte.
+(``np.linspace`` knots, one ``np.cumsum``). The streamed builders must return
+the same table, perimeter and refinement level, byte for byte.
 """
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from loopsurf import curves
-from loopsurf.curves import (_bucket, _lengths, _locate, _raw_point, _segment_lengths,
+from loopsurf.curves import (_lengths, _locate, _raw_point, _segment_lengths,
                              load_polyline, make_preset, mod1)
 
 
@@ -38,23 +39,24 @@ def _eval_reference(curve, t):
         closed = np.vstack([curve.vertices, curve.vertices[:1]])
         return closed[idx] + frac[..., None] * (closed[idx + 1] - closed[idx])
     s = t
-    if not curve.uniform_speed:
+    if curve.kind != "circle":
+        knots = np.linspace(0.0, 1.0, len(curve.arc_table))
         idx, frac = _locate_reference(curve.arc_table, t * curve.total_length)
-        s = curve.raw_knots[idx] + frac * (curve.raw_knots[idx + 1] - curve.raw_knots[idx])
+        s = knots[idx] + frac * (knots[idx + 1] - knots[idx])
     return _raw_point(curve.kind, curve.params, s)
 
 
 def _table_at_reference(kind, params, n):
     knots = np.linspace(0.0, 1.0, n + 1)
     table = np.concatenate([[0.0], np.cumsum(_segment_lengths(_raw_point(kind, params, knots)))])
-    return knots, table, curves._perimeter(table)
+    return table, curves._perimeter(table)
 
 
 def _build_arc_table_reference(kind, params):
     n = curves._TABLE_START
     prev = None
     while True:
-        knots, table, total = _table_at_reference(kind, params, n)
+        table, total = _table_at_reference(kind, params, n)
         if prev is not None and abs(total - prev) < curves._TABLE_RTOL * total:
             break
         if n >= curves._TABLE_CAP:
@@ -62,18 +64,10 @@ def _build_arc_table_reference(kind, params):
         prev = total
         n *= 2
     if n * 4 <= curves._TABLE_CAP:
-        knots, table, total = _table_at_reference(kind, params, n * 4)
+        table, total = _table_at_reference(kind, params, n * 4)
     if np.any(np.diff(table) <= 0.0):
         raise ValueError("degenerate curve: arc table is not strictly increasing")
-    return knots, table, total
-
-
-def _index_reference(table):
-    k = max(1, (len(table) - 1) // curves._BUCKET_SPAN)
-    counts = np.bincount(_bucket(table[1:], k, table[-1]), minlength=k)
-    starts = np.zeros(k, np.int32)
-    starts[1:] = np.cumsum(counts[:-1])
-    return starts, int(counts.max()).bit_length()
+    return table, total
 
 
 def _assert_same_bytes(got, want):
@@ -102,9 +96,10 @@ ARC_TABLE_PRESETS = {
 def test_streamed_arc_table_matches_full_array(kind, params):
     want = _build_arc_table_reference(kind, params)
     curve = make_preset(kind, params)
-    got = (curve.raw_knots, curve.arc_table, curve.total_length)
-    _assert_same_bytes(got, want)
-    _assert_same_bytes(curve._index, _index_reference(curve.arc_table))
+    _assert_same_bytes((curve.arc_table, curve.total_length), want)
+    # eval derives knot i as i / n exactly, which needs n a power of two
+    n = len(curve.arc_table) - 1
+    assert n & (n - 1) == 0
 
 
 @pytest.mark.parametrize("cap", [1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 19])
@@ -119,10 +114,11 @@ def test_capped_arc_table_matches_full_array(monkeypatch, kind, params, cap, chu
     monkeypatch.setattr(curves, "_TABLE_CAP", cap)
     monkeypatch.setattr(curves, "_CHUNK", chunk)
     want = _build_arc_table_reference(kind, params)
-    assert len(want[1]) - 1 <= cap
+    assert len(want[0]) - 1 <= cap
     _assert_same_bytes(curves._build_arc_table(kind, params), want)
     curve = make_preset(kind, params)
-    _assert_same_bytes(curve._index, _index_reference(curve.arc_table))
+    t = np.concatenate([np.random.default_rng(17).uniform(0.0, 1.0, 1 << 14), want[0] / want[1]])
+    assert curve.eval(t).tobytes() == _eval_reference(curve, t).tobytes()
 
 
 @pytest.mark.parametrize("kind, params, match", [
@@ -140,19 +136,17 @@ def test_arc_table_errors_match_full_array(kind, params, match):
 
 def test_build_and_index_peak_memory():
     # numpy reports its buffers to tracemalloc: the build holds little more
-    # than the table it keeps, and the index little more than its starts
+    # than the table it keeps, and the table is all a preset keeps
     tracemalloc.start()
     try:
         curve = make_preset("superellipse", (1.0, 1.0, 0.5))
         build_peak = tracemalloc.get_traced_memory()[1]
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        starts, _ = curve._index
-        index_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert build_peak <= 1.25 * (curve.raw_knots.nbytes + curve.arc_table.nbytes)
-    assert index_peak <= starts.nbytes + 2 ** 20
+    assert build_peak <= 1.25 * curve.arc_table.nbytes
+    arrays = [f.name for f in dataclasses.fields(curve)
+              if isinstance(getattr(curve, f.name), np.ndarray)]
+    assert arrays == ["arc_table"]
 
 
 CURVES = {
@@ -179,16 +173,10 @@ def test_locate_matches_binary_search(curve):
         table, np.nextafter(table, -np.inf), np.nextafter(table, np.inf),
         [0.0, -0.0, np.nextafter(total, 0.0), -1.0, 2.0 * total, np.inf, -np.inf, np.nan],
     ])
-    idx, frac = _locate(table, curve._index, targets)
+    idx, frac = _locate(table, targets)
     want_idx, want_frac = _locate_reference(table, targets)
     assert np.array_equal(idx, want_idx)
     assert frac.tobytes() == want_frac.tobytes()
-    # the bucket index takes at most 4 MB per 1M-entry table
-    assert curve._index[0].nbytes <= 4e6 * len(table) / 2 ** 20
-
-
-def test_index_matches_full_array(curve):
-    _assert_same_bytes(curve._index, _index_reference(curve.arc_table))
 
 
 def test_eval_matches_reference(curve):
@@ -203,7 +191,7 @@ def test_eval_matches_reference(curve):
 def test_segment_lengths_match_norm(curve):
     # the arc tables are built from these lengths, so they keep norm's bits
     if curve.vertices is None:
-        pts = _raw_point(curve.kind, curve.params, curve.raw_knots)
+        pts = _raw_point(curve.kind, curve.params, np.linspace(0.0, 1.0, len(curve.arc_table)))
     else:
         pts = np.vstack([curve.vertices, curve.vertices[:1]])
     want = np.linalg.norm(np.diff(pts, axis=0), axis=1)
