@@ -45,9 +45,10 @@ class EmbedConfig:
             raise ValueError(f"need 0 < w < R, got w={self.w!r}, R={self.R!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
-    """Welded triangle mesh in R^3.
+    """Welded triangle mesh in R^3. Meshes compare and hash by identity, as
+    their array fields have no single truth value.
 
     ``weld_map`` maps the original row-major grid index to the welded
     vertex index (None for meshes not built from a grid).

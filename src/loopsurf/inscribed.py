@@ -24,12 +24,15 @@ _SAMPLE_BLOCK = 1024
 _PAIR_BUDGET = 1 << 18
 _REFINE_BATCH = 32
 _REFINE_BATCH_CAP = 4096
+# verify_rectangle's chart zoom: brackets per vertex, points per bracket, rounds (each 16x)
+_ZOOM_K, _ZOOM_S, _ZOOM_ROUNDS = 4, 33, 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RectangleWitness:
     """Two unordered parameter pairs whose chords agree in midpoint and
-    length, plus the four vertices they span.
+    length, plus the four vertices they span. Witnesses compare and hash by
+    identity, as their vertex array has no single truth value.
 
     ``vertices`` interleaves the two chords, so consecutive vertices are
     rectangle sides and ``vertices[0] - vertices[2]`` / ``vertices[1] -
@@ -340,15 +343,33 @@ def find_rectangle(curve, grid_n=64, tol=1e-7, min_separation=1e-3, aspect=None)
     return NotFound(best_residual=float(best))
 
 
-def verify_rectangle(curve, witness, tol, min_separation=1e-9, resample_n=65536):
+def _chart_distances(curve, v, n):
+    """Least distance from each vertex of v (4, 2) to the chart points evaluated: n
+    arc-uniform samples, then brackets of +-1 spacing around its _ZOOM_K nearest, each
+    round sampled at _ZOOM_S points and narrowed to +-1 of their spacing about its
+    nearest. A bracket keeps its centre, so the last round holds the least distance."""
+    d = _lengths(curve.sample(n) - v[:, None])                  # (4, n)
+    center = np.argpartition(d, min(_ZOOM_K, n) - 1, axis=1)[:, :_ZOOM_K] / n
+    half, grid = 1.0 / n, np.linspace(-1.0, 1.0, _ZOOM_S)
+    for _ in range(_ZOOM_ROUNDS):
+        ts = center[..., None] + half * grid
+        d = _lengths(curve.eval(ts) - v[:, None, None])          # (4, K, S)
+        center = np.take_along_axis(ts, d.argmin(axis=-1)[..., None], -1)[..., 0]
+        half *= 2.0 / (_ZOOM_S - 1)
+    return d.min(axis=(1, 2))
+
+
+def verify_rectangle(curve, witness, tol, min_separation=1e-9, resample_n=1024):
     """Independent audit of a witness: vertex-to-curve distances, midpoint
     and diagonal-length residuals, side lengths and the angle between the
     diagonals. Passes iff every residual is <= tol.
 
     A polygon is measured against its exact segments. Any other curve is
-    measured against a dense resample, which undershoots a convex curve by
-    the chord sagitta (about 1.2e-9 of the radius at the default density),
-    which bounds how small a measurable vertex distance can get.
+    measured on its own chart: ``resample_n`` arc-uniform points set the
+    starting grid, then brackets zoom onto each vertex's nearest points past
+    float resolution in t. A distance is the least to a chart point evaluated:
+    attained, so an upper bound on the true distance; a vertex farther than
+    tol from the curve cannot pass.
 
     ``tol`` must be positive and finite, as in find_rectangle: an infinite
     tol would pass any witness, and NaN or a non-positive tol none.
@@ -360,11 +381,14 @@ def verify_rectangle(curve, witness, tol, min_separation=1e-9, resample_n=65536)
     v = np.asarray(witness.vertices, dtype=float)
     if v.shape != (4, 2):
         raise ValueError(f"witness must carry 4 planar vertices, got shape {v.shape}")
-    poly = curve.vertices if curve.kind == "polyline" else curve.sample(resample_n)
-    ab = np.roll(poly, -1, axis=0) - poly
-    ap = v[:, None, :] - poly                           # (4, M, 2)
-    s = np.clip(np.einsum("kmi,mi->km", ap, ab) / np.einsum("mi,mi->m", ab, ab), 0.0, 1.0)
-    dists = np.min(np.linalg.norm(v[:, None, :] - (poly + s[..., None] * ab), axis=-1), axis=1)
+    if curve.kind == "polyline":
+        poly = curve.vertices
+        ab = np.roll(poly, -1, axis=0) - poly
+        ap = v[:, None, :] - poly                           # (4, M, 2)
+        s = np.clip(np.einsum("kmi,mi->km", ap, ab) / np.einsum("mi,mi->m", ab, ab), 0.0, 1.0)
+        dists = np.min(np.linalg.norm(v[:, None, :] - (poly + s[..., None] * ab), axis=-1), axis=1)
+    else:
+        dists = _chart_distances(curve, v, resample_n)
     diag1, diag2 = v[2] - v[0], v[3] - v[1]
     mid_res = float(np.linalg.norm(0.5 * (v[0] + v[2]) - 0.5 * (v[1] + v[3])))
     len_res = float(abs(np.linalg.norm(diag1) - np.linalg.norm(diag2)))

@@ -131,6 +131,15 @@ def test_torus_mesh_counts_n8():
     assert inv.euler_char == 0 and inv.boundary_loops == 0 and inv.orientable
 
 
+def test_meshes_compare_and_hash_by_identity():
+    # array fields have no single truth value: the generated __eq__ raised
+    # ValueError on two equal meshes, and the generated __hash__ TypeError
+    mesh = build_mesh(T, 8)
+    assert mesh == mesh
+    assert (mesh == build_mesh(T, 8)) is False
+    assert {mesh: 1}[mesh] == 1
+
+
 def test_pinched_mesh_counts_n8():
     inv = mesh_invariants(build_mesh(P, 8))
     # sphere counts with the two pole classes merged into one vertex

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -178,8 +180,11 @@ def test_not_found_is_data_with_best_residual():
 
 
 def test_soundness_witness_passes_at_10x_tol():
+    # at tol 1e-12 on the ellipse the chord resample put the vertices 8.3e-10
+    # off the curve, so the search's own witness failed its audit
     for curve, tol in ((make_preset("circle", [1.0]), 1e-9),
                        (make_preset("ellipse", [2.0, 1.0]), 1e-8),
+                       (make_preset("ellipse", [2.0, 1.0]), 1e-12),
                        (load_polyline([(0, 0), (4, 0), (1, 3)]), 1e-7)):
         w = find_rectangle(curve, grid_n=64, tol=tol)
         assert isinstance(w, RectangleWitness)
@@ -231,11 +236,11 @@ def test_verify_exact_circle_square():
                          midpoint_residual=0.0, length_residual=0.0)
     report = verify_rectangle(c, w, tol=1e-8)
     assert report.passes
-    # midpoint and diagonal-length residuals vanish by symmetry; the vertex
-    # distance bottoms out at the resampling sagitta
+    # midpoint and diagonal-length residuals vanish by symmetry; the vertices
+    # are chart points, which the chart zoom evaluates again
     assert report.midpoint_residual < 1e-12
     assert report.length_residual < 1e-12
-    assert max(report.vertex_curve_distances) < 5e-9
+    assert max(report.vertex_curve_distances) < 1e-15
     assert report.diagonal_angle == pytest.approx(np.pi / 2, abs=1e-9)
     assert all(s == pytest.approx(np.sqrt(2.0), abs=1e-12) for s in report.side_lengths)
 
@@ -295,3 +300,104 @@ def test_verify_measures_polygon_vertices_on_exact_segments():
     report = verify_rectangle(hexagon, RectangleWitness(pairs, moved, 0.0, 0.0), tol=10 * tol)
     assert report.vertex_curve_distances[1] == moved[1, 0] - 3.0
     assert not report.passes
+
+
+def test_witnesses_compare_and_hash_by_identity():
+    # the vertex array has no single truth value: the generated __eq__ raised
+    # ValueError on two equal witnesses, and the generated __hash__ TypeError
+    c = make_preset("circle", (1,))
+    w = find_rectangle(c, grid_n=16)
+    assert isinstance(w, RectangleWitness)
+    assert w == w
+    assert (w == find_rectangle(c, grid_n=16)) is False
+    assert {w: 1}[w] == 1
+
+
+# ---------------------------------------- verify_rectangle against closed forms
+
+def _vertex_distances(curve, verts):
+    w = RectangleWitness(pairs=((0.0, 0.5), (0.25, 0.75)), vertices=np.asarray(verts),
+                         midpoint_residual=0.0, length_residual=0.0)
+    return np.array(verify_rectangle(curve, w, tol=1.0).vertex_curve_distances)
+
+
+def _ellipse_normals(points, a, b):
+    n = points / np.array([a * a, b * b])       # the gradient of x^2/a^2 + y^2/b^2
+    return n / np.linalg.norm(n, axis=1)[:, None]
+
+
+_OFFSET_TS = np.array([0.0, 0.03, 0.11, 0.2, 0.25, 0.37, 0.49, 0.52, 0.66, 0.8, 0.93, 0.999])
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("params", [(2.0, 1.0), (100.0, 1.0)])
+def test_verify_reads_ellipse_normal_offsets(params, eps):
+    # a chart point moved eps along the analytic normal, outward and inward,
+    # lies eps from the ellipse; the chord resample read 8e-10 at eps = 1e-12
+    c = make_preset("ellipse", params)
+    p = c.eval(_OFFSET_TS)
+    n = _ellipse_normals(p, *params)
+    for sign in (1.0, -1.0):
+        v = p + sign * eps * n
+        d = np.concatenate([_vertex_distances(c, v[k:k + 4]) for k in range(0, len(v), 4)])
+        assert np.max(np.abs(d - eps)) <= 2 * np.spacing(max(params))
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("params, ts", [
+    ((2.0, 1.0, 4.0), _OFFSET_TS),
+    # the flanks of (1, 1, 0.5) are concave; its tips (t = 0, 1/4, ...) are cusps
+    ((1.0, 1.0, 0.5), np.array([0.07, 0.1, 0.125, 0.15, 0.18, 0.32,
+                                0.375, 0.43, 0.6, 0.625, 0.85, 0.9])),
+])
+def test_verify_reads_superellipse_normal_offsets(params, ts, eps):
+    c = make_preset("superellipse", params)
+    p = c.eval(ts)
+    tangent = c.eval(ts + 1e-6) - c.eval(ts - 1e-6)
+    n = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
+    n /= np.linalg.norm(n, axis=1)[:, None]
+    for sign in (1.0, -1.0):
+        v = p + sign * eps * n
+        d = np.concatenate([_vertex_distances(c, v[k:k + 4]) for k in range(0, len(v), 4)])
+        assert np.max(np.abs(d - eps)) <= 2 * np.spacing(max(params[:2]))
+
+
+def test_verify_circle_distances_bound_the_exact_distance_from_above():
+    # every distance is attained by a chart point, so it never reads below the
+    # exact distance | |v| - r | by more than the chart's own rounding; a chord
+    # resample undershot inside points by up to its sagitta (1.2e-9)
+    c = make_preset("circle", [1.0])
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        offset = 10.0 ** rng.uniform(-12.0, -1.0, 4) * rng.choice([-1.0, 1.0], 4)
+        phase = rng.uniform(0.0, 2.0 * np.pi, 4)
+        v = (1.0 + offset)[:, None] * np.stack([np.cos(phase), np.sin(phase)], axis=1)
+        exact = np.abs(np.hypot(v[:, 0], v[:, 1]) - 1.0)
+        d = _vertex_distances(c, v)
+        assert np.all(d >= exact - 2 * np.spacing(1.0))
+        assert np.all(d <= exact + 2 * np.spacing(1.0))
+
+
+def test_verify_rejects_a_vertex_1e12_off_the_curve():
+    c = make_preset("ellipse", [2.0, 1.0])
+    w = find_rectangle(c, grid_n=64, tol=1e-12)
+    assert verify_rectangle(c, w, tol=1e-13).passes
+    moved = w.vertices.copy()
+    moved[0] += 1e-12 * _ellipse_normals(moved[:1], 2.0, 1.0)[0]
+    report = verify_rectangle(c, RectangleWitness(w.pairs, moved, 0.0, 0.0), tol=1e-13)
+    assert not report.passes
+    assert report.vertex_curve_distances[0] == pytest.approx(1e-12, abs=2 * np.spacing(2.0))
+
+
+def test_verify_preset_peak_memory():
+    # the chord resample built (4, 65536, 2) arrays: 20 MiB per call
+    c = make_preset("ellipse", [2.0, 1.0])
+    w = find_rectangle(c, grid_n=64, tol=1e-9)
+    verify_rectangle(c, w, tol=1e-8)
+    tracemalloc.start()
+    try:
+        verify_rectangle(c, w, tol=1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
