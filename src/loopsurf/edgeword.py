@@ -17,11 +17,14 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class EdgeWord:
-    """Ordered (label, exponent) letters; each label occurs at most twice."""
+    """Ordered (label, exponent) letters, at least one; each label occurs at
+    most twice."""
 
     letters: tuple
 
     def __post_init__(self):
+        if not self.letters:
+            raise ValueError("empty word")
         counts = {}
         for label, _ in self.letters:
             counts[label] = counts.get(label, 0) + 1
@@ -66,8 +69,6 @@ def parse(text):
         if not ("a" <= ch <= "z" or "A" <= ch <= "Z"):
             raise ValueError(f"illegal character {ch!r}")
         letters.append((ch.lower(), 1 if ch.islower() else -1))
-    if not letters:
-        raise ValueError("empty word")
     return EdgeWord(letters=tuple(letters))
 
 

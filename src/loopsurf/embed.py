@@ -6,6 +6,7 @@ loops, orientability), and Wavefront OBJ export / re-parsing.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,11 +56,12 @@ class Mesh:
 
     ``edge_ids`` (grid meshes only) carries the exact quotient identity
     of each triangle side: slot k of triangle f is the edge from vertex k
-    to vertex (k+1)%3, and edge_ids[f, k] is its equivalence class. At
-    coarse resolutions distinct quotient edges can join the same pair of
-    welded vertices, so vertex pairs alone would under-count E; invariants
-    fall back to vertex pairs when the field is absent (e.g. meshes
-    re-parsed from OBJ).
+    to vertex (k+1)%3, and edge_ids[f, k] is its equivalence class: the
+    class of the side's midpoint on the 2n grid, with the two surviving
+    sides of each collapsed sliver joined. At coarse resolutions distinct
+    quotient edges can join the same pair of welded vertices, so vertex
+    pairs alone would under-count E; invariants fall back to vertex pairs
+    when the field is absent (e.g. meshes re-parsed from OBJ).
     """
 
     vertices: np.ndarray
@@ -146,57 +148,24 @@ def embed(scheme, q, cfg=EmbedConfig()):
 
 # ---------------------------------------------------------------------- meshes
 
-def _grid_class_keys(scheme, n):
-    """Integer class key per grid vertex (i, j), i, j in 0..n, row-major.
+def _class_keys(scheme, n, i, j):
+    """Integer class key of the grid points (i, j) / n, i, j in 0..n.
 
-    Welding is decided entirely on indices: two grid vertices are welded
-    iff their square coordinates are scheme-equivalent, which on the
-    uniform grid is an exact integer condition.
+    Two points of the n grid share a key iff their square coordinates are
+    scheme-equivalent, which on the uniform grid is an exact integer
+    condition. The same rule on the 2n grid keys grid edges by their
+    midpoints: an edge's displacement is (1,0), (0,1) or (1,1), so the sum
+    of its corners fixes it, and the gluings move edges as they move
+    midpoints.
     """
-    i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
     im, jm = i % n, j % n
     if scheme is Scheme.TORUS:
-        return (im * n + jm).ravel()
+        return im * n + jm
     if scheme is Scheme.PINCHED_SPHERE:
-        keys = 1 + (i - 1) * n + jm
-        return np.where(im == 0, 0, keys).ravel()
+        return np.where(im == 0, 0, 1 + (i - 1) * n + jm)
     if scheme is Scheme.MOBIUS_UNORDERED:
-        a = np.minimum(im, jm)
-        b = np.maximum(im, jm)
-        return (a * n + b).ravel()
+        return np.minimum(im, jm) * n + np.maximum(im, jm)
     raise ValueError(f"unknown scheme {scheme!r}")
-
-
-_SWAPPED_DIR = np.array([1, 0, 2])  # horizontal <-> vertical, diagonal fixed
-
-
-def _edge_orbit_keys(scheme, n, pi, pj, qi, qj):
-    """Canonical orbit key for grid edges p -> q (vectorized).
-
-    An edge is normalized so its displacement is (1,0), (0,1) or (1,1).
-    The key wraps the normalized tail by the scheme's translation group
-    and, for the unordered-pair scheme, minimizes over the swap image.
-    """
-    di, dj = qi - pi, qj - pj
-    flip = (di < 0) | ((di == 0) & (dj < 0))
-    bi = np.where(flip, qi, pi)
-    bj = np.where(flip, qj, pj)
-    ndi = np.where(flip, -di, di)
-    ndj = np.where(flip, -dj, dj)
-    d = np.select([(ndi == 1) & (ndj == 0), (ndi == 0) & (ndj == 1)], [0, 1], default=2)
-
-    def pack(i, j, dd):
-        return (i * (n + 1) + j) * 3 + dd
-
-    if scheme is Scheme.TORUS:
-        key = pack(bi % n, bj % n, d)
-    elif scheme is Scheme.PINCHED_SPHERE:
-        key = pack(bi, bj % n, d)
-    else:
-        k1 = pack(bi % n, bj % n, d)
-        k2 = pack(bj % n, bi % n, _SWAPPED_DIR[d])
-        key = np.minimum(k1, k2)
-    return key
 
 
 def _first_seen_ids(keys):
@@ -218,14 +187,15 @@ def build_mesh(scheme, n, cfg=EmbedConfig()):
     exact integer condition. Triangles that degenerate under welding
     (collapsed-edge slivers) are dropped, with their two surviving sides
     identified; faces duplicated by the unordered-pair fold are removed,
-    keeping the first copy in creation order. Edge identities are tracked
-    as exact grid-edge orbits (see Mesh.edge_ids).
+    keeping the first copy in creation order. A grid edge's class is its
+    midpoint's class on the 2n grid (see Mesh.edge_ids).
     """
-    if n < 3:
-        raise ValueError(f"grid resolution must be >= 3, got {n}")
+    if not isinstance(n, numbers.Integral) or n < 3:
+        raise ValueError(f"grid resolution must be an integer >= 3, got {n}")
     # grid flat index -> welded vertex -> representative grid index
-    weld, rep = _first_seen_ids(_grid_class_keys(scheme, n))
-    verts = _chart(scheme, *canonical_chart(scheme, rep // (n + 1) / n, rep % (n + 1) / n), cfg)
+    gi, gj = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    weld, rep = _first_seen_ids(_class_keys(scheme, n, gi, gj))
+    verts = _chart(scheme, *canonical_chart(scheme, gi[rep] / n, gj[rep] / n), cfg)
 
     # two triangles per cell, row-major cell order, fixed diagonal direction
     ci, cj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
@@ -250,12 +220,9 @@ def build_mesh(scheme, n, cfg=EmbedConfig()):
         partner = 2 * ((cj.repeat(2)) * n + ci.repeat(2)) + (1 - t % 2)
         keep &= t <= partner
 
-    # per-slot edge orbits (slot k joins corners k and (k+1)%3)
-    pi = corner_i[:, [0, 1, 2]].ravel()
-    pj = corner_j[:, [0, 1, 2]].ravel()
-    qi = corner_i[:, [1, 2, 0]].ravel()
-    qj = corner_j[:, [1, 2, 0]].ravel()
-    ekey = _edge_orbit_keys(scheme, n, pi, pj, qi, qj).reshape(-1, 3)
+    # slot k joins corners k and (k+1)%3; its class is its midpoint's
+    ekey = _class_keys(scheme, 2 * n, corner_i + corner_i[:, [1, 2, 0]],
+                       corner_j + corner_j[:, [1, 2, 0]])
 
     # a dropped sliver collapses to a segment: its two surviving sides are
     # one and the same quotient edge. Slivers occur only in the pinched

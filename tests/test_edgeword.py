@@ -30,6 +30,12 @@ def test_edge_word_built_directly_rejects_triple_label():
         EdgeWord(letters=(("a", 1), ("b", 1), ("a", -1), ("a", 1)))
 
 
+def test_edge_word_built_directly_rejects_empty_word():
+    for letters in ((), []):
+        with pytest.raises(ValueError, match="^empty word$"):
+            EdgeWord(letters=letters)
+
+
 def test_parse_illegal_character():
     with pytest.raises(ValueError, match="illegal character '1'"):
         parse("a1b")

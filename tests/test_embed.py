@@ -18,7 +18,13 @@ from loopsurf.embed import (
     pinched_sphere_chart,
     torus_chart,
 )
-from loopsurf.pairspace import QuotientPoint, Scheme, canonicalize, quotient_distance
+from loopsurf.pairspace import (
+    QuotientPoint,
+    Scheme,
+    canonical_chart,
+    canonicalize,
+    quotient_distance,
+)
 
 T, P, M = Scheme.TORUS, Scheme.PINCHED_SPHERE, Scheme.MOBIUS_UNORDERED
 CFG = EmbedConfig()
@@ -166,6 +172,10 @@ def test_mesh_theory_agreement(n):
 def test_mesh_resolution_precondition():
     with pytest.raises(ValueError, match=">= 3"):
         build_mesh(T, 2)
+    for n in (5.0, 4.5, np.float64(5.0)):
+        with pytest.raises(ValueError, match=f"^grid resolution must be an integer >= 3, got {n}$"):
+            build_mesh(T, n)
+    assert np.array_equal(build_mesh(T, np.int64(5)).edge_ids, build_mesh(T, 5).edge_ids)
 
 
 def test_weld_map_consistency():
@@ -178,6 +188,39 @@ def test_weld_map_consistency():
                 q = canonicalize(scheme, i / n, j / n)
                 want = np.zeros(3) if (scheme is P and q.is_pole) else embed(scheme, q)
                 assert np.linalg.norm(mesh.vertices[mesh.weld_map[g]] - want) < 1e-9
+
+
+@pytest.mark.parametrize("scheme", [T, P, M], ids=lambda s: s.value)
+def test_edge_ids_partition_sides_as_pairspace_glues_midpoints(scheme):
+    """Two kept sides share an edge class iff pairspace glues their grid
+    midpoints. A side at the pinched pole is labelled by its far vertex
+    instead: a collapsed sliver glues the two sides that meet there."""
+    for n in list(range(3, 17)) + [31, 37, 64]:
+        mesh = build_mesh(scheme, n)
+        # corners of the 2n^2 grid triangles in creation order: cell (ci, cj)
+        # row-major, lower (c, c+di, c+di+dj), then upper (c, c+di+dj, c+dj)
+        ci, cj = np.divmod(np.repeat(np.arange(n * n), 2), n)
+        upper = np.arange(2 * n * n) % 2
+        corner_i = np.stack([ci, ci + 1, ci + 1 - upper], axis=1)
+        corner_j = np.stack([cj, cj + upper, cj + 1], axis=1)
+        tris = mesh.weld_map[corner_i * (n + 1) + corner_j]
+        keep = (tris != tris[:, [1, 2, 0]]).all(axis=1)
+        if scheme is M:    # of each swapped pair of faces, the first is kept
+            keep &= np.arange(2 * n * n) <= 2 * (cj * n + ci) + 1 - upper
+        assert np.array_equal(tris[keep], mesh.triangles)
+
+        pi, pj = corner_i[keep].ravel(), corner_j[keep].ravel()
+        qi, qj = corner_i[keep][:, [1, 2, 0]].ravel(), corner_j[keep][:, [1, 2, 0]].ravel()
+        u, v, _ = canonical_chart(scheme, (pi + qi) / (2 * n), (pj + qj) / (2 * n))
+        p_pole = canonical_chart(scheme, pi / n, pj / n)[2]
+        at_pole = p_pole | canonical_chart(scheme, qi / n, qj / n)[2]
+        far = mesh.weld_map[np.where(p_pole, qi * (n + 1) + qj, pi * (n + 1) + pj)]
+        labels = np.stack([np.where(at_pole, -1.0, u), np.where(at_pole, far, v)], axis=1)
+        label_ids = np.unique(labels, axis=0, return_inverse=True)[1].ravel()
+        ids = mesh.edge_ids.ravel()
+        pairs = np.unique(np.stack([label_ids, ids], axis=1), axis=0)
+        assert len(pairs) == label_ids.max() + 1 == ids.max() + 1
+        assert at_pole.any() == (scheme is P)
 
 
 def test_mesh_vertices_all_referenced():

@@ -21,8 +21,6 @@ from loopsurf.embed import (
     Mesh,
     NonManifoldEdgeError,
     MeshInvariants,
-    _edge_orbit_keys,
-    _grid_class_keys,
     build_mesh,
     export_obj,
     mesh_invariants,
@@ -34,6 +32,63 @@ from loopsurf.embed import (
 from loopsurf.pairspace import Scheme, mobius_chart
 
 SIZES = list(range(3, 21)) + [64]
+
+
+# The first grid-welding rules, kept as test-only references: vertices by
+# one integer key, edges by a second encoding that directs, wraps and
+# swap-minimizes each edge. build_mesh keys edges by their midpoints instead.
+
+def _grid_class_keys(scheme, n):
+    """Integer class key per grid vertex (i, j), i, j in 0..n, row-major.
+
+    Welding is decided entirely on indices: two grid vertices are welded
+    iff their square coordinates are scheme-equivalent, which on the
+    uniform grid is an exact integer condition.
+    """
+    i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+    im, jm = i % n, j % n
+    if scheme is Scheme.TORUS:
+        return (im * n + jm).ravel()
+    if scheme is Scheme.PINCHED_SPHERE:
+        keys = 1 + (i - 1) * n + jm
+        return np.where(im == 0, 0, keys).ravel()
+    if scheme is Scheme.MOBIUS_UNORDERED:
+        a = np.minimum(im, jm)
+        b = np.maximum(im, jm)
+        return (a * n + b).ravel()
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
+_SWAPPED_DIR = np.array([1, 0, 2])  # horizontal <-> vertical, diagonal fixed
+
+
+def _edge_orbit_keys(scheme, n, pi, pj, qi, qj):
+    """Canonical orbit key for grid edges p -> q (vectorized).
+
+    An edge is normalized so its displacement is (1,0), (0,1) or (1,1).
+    The key wraps the normalized tail by the scheme's translation group
+    and, for the unordered-pair scheme, minimizes over the swap image.
+    """
+    di, dj = qi - pi, qj - pj
+    flip = (di < 0) | ((di == 0) & (dj < 0))
+    bi = np.where(flip, qi, pi)
+    bj = np.where(flip, qj, pj)
+    ndi = np.where(flip, -di, di)
+    ndj = np.where(flip, -dj, dj)
+    d = np.select([(ndi == 1) & (ndj == 0), (ndi == 0) & (ndj == 1)], [0, 1], default=2)
+
+    def pack(i, j, dd):
+        return (i * (n + 1) + j) * 3 + dd
+
+    if scheme is Scheme.TORUS:
+        key = pack(bi % n, bj % n, d)
+    elif scheme is Scheme.PINCHED_SPHERE:
+        key = pack(bi, bj % n, d)
+    else:
+        k1 = pack(bi % n, bj % n, d)
+        k2 = pack(bj % n, bi % n, _SWAPPED_DIR[d])
+        key = np.minimum(k1, k2)
+    return key
 
 
 class _SignedUnionFind:
