@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .curves import PRESET_NAMES, from_spec
@@ -78,10 +79,13 @@ def _cmd_mesh(ns, out):
         raise _UsageError(str(e)) from None
     inv = mesh_invariants(mesh)
     if ns.out:
+        fh = None
         try:
             with open(ns.out, "wb") as fh:
                 export_obj(mesh, fh)
         except OSError as e:
+            if fh is not None and os.path.isfile(ns.out):
+                os.remove(ns.out)       # a failed write leaves no truncated OBJ
             raise _DataError(f"cannot write {ns.out}: {e}") from None
     _emit(out, inv.to_json())
     return EXIT_OK

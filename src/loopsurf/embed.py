@@ -169,13 +169,18 @@ def _class_keys(scheme, n, i, j):
 
 
 def _first_seen_ids(keys):
-    """The id of each key, numbering the distinct keys densely in order of
-    first occurrence, and the index at which each id first occurs."""
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    return rank[inverse.ravel()], first[order]
+    """Dense ids of the keys in order of first occurrence, and the index at
+    which each id first occurs; indices take the dtype of ``keys``."""
+    order = np.argsort(keys, kind="stable").astype(keys.dtype, copy=False)
+    run = np.r_[True, np.diff(keys[order]) != 0]     # a new key starts a run
+    first = order[run]                               # stable: each key's first index
+    rep = np.sort(first)
+    rank = np.searchsorted(rep, first).astype(first.dtype)
+    del first
+    run = np.cumsum(run, dtype=rank.dtype) - 1       # the run of each sorted key
+    ids = np.empty(len(keys), np.int64)
+    ids[order] = rank[run]
+    return ids, rep
 
 
 def build_mesh(scheme, n, cfg=EmbedConfig()):
@@ -192,55 +197,43 @@ def build_mesh(scheme, n, cfg=EmbedConfig()):
     """
     if not isinstance(n, numbers.Integral) or n < 3:
         raise ValueError(f"grid resolution must be an integer >= 3, got {n}")
+    it = np.int32 if 6 * (n + 1) ** 2 < 2**31 else np.int64   # keys < 4 (n+1)^2, sides < 6 n^2
     # grid flat index -> welded vertex -> representative grid index
-    gi, gj = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    gi, gj = np.divmod(np.arange((n + 1) ** 2, dtype=it), n + 1)
     weld, rep = _first_seen_ids(_class_keys(scheme, n, gi, gj))
     verts = _chart(scheme, *canonical_chart(scheme, gi[rep] / n, gj[rep] / n), cfg)
 
-    # two triangles per cell, row-major cell order, fixed diagonal direction
-    ci, cj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    ci, cj = ci.ravel(), cj.ravel()
-    corner_i = np.stack([np.repeat(ci, 2), np.empty(2 * n * n, int), np.empty(2 * n * n, int)], axis=1)
-    corner_j = np.stack([np.repeat(cj, 2), np.empty(2 * n * n, int), np.empty(2 * n * n, int)], axis=1)
-    corner_i[0::2, 1], corner_j[0::2, 1] = ci + 1, cj          # lower: (c), (c+di), (c+di+dj)
-    corner_i[0::2, 2], corner_j[0::2, 2] = ci + 1, cj + 1
-    corner_i[1::2, 1], corner_j[1::2, 1] = ci + 1, cj + 1      # upper: (c), (c+di+dj), (c+dj)
-    corner_i[1::2, 2], corner_j[1::2, 2] = ci, cj + 1
-    grid_flat = corner_i * (n + 1) + corner_j
-    tris_all = weld[grid_flat]
+    # two triangles per cell c, row-major cell order, fixed diagonal direction:
+    # corner offsets of the lower (c, c+di, c+di+dj) and upper (c, c+di+dj, c+dj)
+    di, dj = np.array([[[0, 1, 1], [0, 1, 0]], [[0, 0, 1], [0, 1, 1]]], np.int8)
+    ci, cj = np.divmod(np.arange(n * n, dtype=it)[:, None, None], n)
+    tris_all = weld[((ci + di) * (n + 1) + cj + dj).reshape(-1, 3)]
 
-    degenerate = ((tris_all[:, 0] == tris_all[:, 1])
-                  | (tris_all[:, 1] == tris_all[:, 2])
-                  | (tris_all[:, 0] == tris_all[:, 2]))
+    welded_side = tris_all == tris_all[:, [1, 2, 0]]    # slot k: corners k, k+1 welded
+    degenerate = welded_side.any(axis=1)
     keep = ~degenerate
     if scheme is Scheme.MOBIUS_UNORDERED:
         # the swap folds triangle 2*(ci*n+cj)+h onto 2*(cj*n+ci)+(1-h);
         # keep the first copy of each orbit in creation order
-        t = np.arange(2 * n * n)
-        partner = 2 * ((cj.repeat(2)) * n + ci.repeat(2)) + (1 - t % 2)
-        keep &= t <= partner
+        keep &= (2 * (ci * n + cj) + [0, 1] <= 2 * (cj * n + ci) + [1, 0]).ravel()
 
     # slot k joins corners k and (k+1)%3; its class is its midpoint's
-    ekey = _class_keys(scheme, 2 * n, corner_i + corner_i[:, [1, 2, 0]],
-                       corner_j + corner_j[:, [1, 2, 0]])
+    ekey = _class_keys(scheme, 2 * n, (2 * ci + di + di[:, [1, 2, 0]]).reshape(-1, 3),
+                       (2 * cj + dj + dj[:, [1, 2, 0]]).reshape(-1, 3))
 
     # a dropped sliver collapses to a segment: its two surviving sides are
     # one and the same quotient edge. Slivers occur only in the pinched
     # columns (upper triangles of cells i = 0, lower ones of i = n - 1).
     # No key is in two slivers, so the second side's key simply maps onto
     # the first's.
-    sliver = np.nonzero(degenerate)[0]
-    if len(sliver):
-        wt = tris_all[sliver]
-        k1, k2 = np.nonzero(wt != np.roll(wt, -1, axis=1))[1].reshape(-1, 2).T
-        src, dst = ekey[sliver, k2], ekey[sliver, k1]
-        by_src = np.argsort(src)
-        src, dst = src[by_src], dst[by_src]
-        at = np.minimum(np.searchsorted(src, ekey), len(src) - 1)
-        ekey = np.where(src[at] == ekey, dst[at], ekey)
+    if degenerate.any():
+        k1, k2 = np.nonzero(~welded_side[degenerate])[1].reshape(-1, 2).T
+        remap = np.arange(ekey.max() + 1, dtype=ekey.dtype)
+        remap[ekey[degenerate, k2]] = ekey[degenerate, k1]
+        ekey = remap[ekey]
 
-    tris = tris_all[keep]
-    ekey = ekey[keep]
+    tris, ekey = tris_all[keep], ekey[keep]
+    del tris_all, welded_side, degenerate, keep
 
     # every vertex class is a corner of a kept triangle, so none is unused
     return Mesh(vertices=verts, triangles=tris, weld_map=weld,
@@ -255,7 +248,7 @@ def _components(n, a, b):
     the smallest one, then pointer jumping flattens each tree to a star;
     a round with nothing left to hook ends it.
     """
-    label = np.arange(n)
+    label = np.arange(n, dtype=a.dtype)
     while True:
         la, lb = label[a], label[b]
         split = la != lb
@@ -285,53 +278,51 @@ def mesh_invariants(mesh):
     both sides of an edge must join the same pair of vertices, and their
     directions are compared by vertex order.
     """
-    verts = np.asarray(mesh.vertices)
     tris = np.asarray(mesh.triangles, dtype=np.int64)
-    nv = len(verts)
-    if tris.size:
-        if tris.min() < 0 or tris.max() >= nv:
-            raise ValueError("triangle references an invalid vertex index")
-        if np.any((tris[:, 0] == tris[:, 1]) | (tris[:, 1] == tris[:, 2])
-                  | (tris[:, 0] == tris[:, 2])):
-            raise ValueError("degenerate triangle with repeated vertex")
-    nf = len(tris)
+    nv, nf = len(np.asarray(mesh.vertices)), len(tris)
     if nf == 0:
         return MeshInvariants(nv, 0, 0, nv, 0, True)
-
-    slot_verts = np.stack([tris[:, [0, 1, 2]].ravel(),
-                           tris[:, [1, 2, 0]].ravel()], axis=1)
+    if tris.min() < 0 or tris.max() >= nv:
+        raise ValueError("triangle references an invalid vertex index")
+    # slot 3 f + k is the side of face f from its vertex k to vertex (k+1)%3
+    tris = tris.astype(np.int32 if max(nv, 3 * nf) < 2**31 else np.int64, copy=False)
+    tail, head = tris.ravel(), tris[:, [1, 2, 0]].ravel()
+    if np.any(tail == head):
+        raise ValueError("degenerate triangle with repeated vertex")
     if mesh.edge_ids is not None:
-        flat_ids = np.asarray(mesh.edge_ids, dtype=np.int64).ravel()
-        if flat_ids.shape != (3 * nf,) or flat_ids.min() < 0:
+        key = np.asarray(mesh.edge_ids, dtype=np.int64).ravel()
+        if key.shape != (3 * nf,) or key.min() < 0:
             raise ValueError("edge classes do not match the triangle list")
-        counts = np.bincount(flat_ids)
-        ne = int(np.count_nonzero(counts))     # class labels need not be dense
     else:
-        lo, hi = slot_verts.min(axis=1), slot_verts.max(axis=1)
-        _, flat_ids, counts = np.unique(lo * nv + hi, return_inverse=True,
-                                        return_counts=True)
-        ne = len(counts)
+        key = np.minimum(tail, head).astype(np.int64) * nv + np.maximum(tail, head)
 
-    # slots grouped by edge id, in slot order within each edge
-    by_edge = np.argsort(flat_ids, kind="stable")
-    end = np.cumsum(counts)
-    first = by_edge[end - counts]
-    bad = np.nonzero(counts > 2)[0]
-    if bad.size:
-        raise NonManifoldEdgeError(slot_verts[first[bad[0]]], counts[bad[0]])
+    # slots grouped by edge, in slot order within each edge: one stable
+    # sort, with each edge's run of slots starting where the key changes
+    by_edge = np.argsort(key, kind="stable").astype(tris.dtype, copy=False)
+    start = np.flatnonzero(np.r_[True, np.diff(key[by_edge]) != 0])
+    del key
+    counts = np.diff(start, append=3 * nf)
+    ne = len(counts)
+    first = by_edge[start]
+    bad = np.argmax(counts > 2)
+    if counts[bad] > 2:
+        raise NonManifoldEdgeError((tail[first[bad]], head[first[bad]]), counts[bad])
     paired = counts == 2
-    s1, s2 = first[paired], by_edge[end[paired] - 1]
-    tail, head = slot_verts.T
+    s1, s2 = first[paired], by_edge[start[paired] + 1]
+    del by_edge, start
     t1, h1, t2, h2 = tail[s1], head[s1], tail[s2], head[s2]
+    f1, f2 = 2 * (s1 // 3), 2 * (s2 // 3)    # the first sheet of each side's face
     # sides traversed the same way (from the same tail vertex): the two
     # faces agree only with one flipped
     flip = t1 == t2
     if not np.all(np.where(flip, h1 == h2, (t1 == h2) & (h1 == t2))):
         raise ValueError("edge classes do not match the triangle list")
+    del s1, s2, t1, h1, t2, h2
 
     loops = 0
-    ends = slot_verts[first[counts == 1]]
-    if len(ends):
+    b = first[counts == 1]
+    if len(b):
+        ends = np.stack([tail[b], head[b]], axis=1)
         degree = np.bincount(ends.ravel(), minlength=nv)
         odd = degree[ends.ravel()] != 2
         if odd.any():
@@ -341,7 +332,7 @@ def mesh_invariants(mesh):
                 f"{int(degree[v])} boundary edges")
         loops = len(np.unique(_components(nv, ends[:, 0], ends[:, 1])[ends]))
 
-    f1, f2 = 2 * (s1 // 3), 2 * (s2 // 3)
+    del tris, tail, head, counts, first
     sheets = _components(2 * nf, np.concatenate([f1, f1 + 1]),
                          np.concatenate([f2 + flip, f2 + 1 - flip]))
     orientable = not np.any(sheets[0::2] == sheets[1::2])
@@ -350,11 +341,16 @@ def mesh_invariants(mesh):
 
 # ------------------------------------------------------------------------- OBJ
 
+_OBJ_ROWS = 1 << 14     # lines per export_obj write
+_OBJ_CHARS = 1 << 18    # characters per parse_obj block, cut after a newline
+
+
 def export_obj(mesh, sink):
     """Write the mesh as Wavefront OBJ text to a byte sink.
 
     "v x y z" lines with 17 significant digits in vertex-index order, then
-    "f i j k" lines (1-based) in triangle creation order.
+    "f i j k" lines (1-based) in triangle creation order. It writes blocks
+    of _OBJ_ROWS lines, so a sink that fails part-way may hold a prefix.
     """
     verts = np.asarray(mesh.vertices)
     tris = np.asarray(mesh.triangles)
@@ -362,12 +358,15 @@ def export_obj(mesh, sink):
         raise ValueError("empty mesh")
     # a row without three entries raises the unpacking error of a per-row writer
     (_, _, _), (_, _, _) = verts[0], tris[0]
-    payload = (("v %.17g %.17g %.17g\n" * len(verts)) % tuple(verts.ravel().tolist())
-               + ("f %s %s %s\n" * len(tris)) % tuple((tris + 1).ravel().tolist()))
-    try:
-        sink.write(payload.encode("ascii"))
-    except TypeError:
-        sink.write(payload)
+    for line, rows in (("v %.17g %.17g %.17g\n", verts), ("f %s %s %s\n", tris)):
+        for at in range(0, len(rows), _OBJ_ROWS):
+            block = rows[at:at + _OBJ_ROWS]
+            block = block if rows is verts else block + 1     # 1-based face indices
+            text = (line * len(block)) % tuple(block.ravel().tolist())
+            try:
+                sink.write(text.encode("ascii"))
+            except TypeError:
+                sink.write(text)
 
 
 def parse_obj(source):
@@ -379,46 +378,58 @@ def parse_obj(source):
     Every line is checked for its directive and field count before any
     number is converted, so a malformed or unsupported line raises its
     line-numbered ValueError even when an earlier line holds an invalid
-    number. Among invalid numbers, the first in line order raises.
+    number. Among invalid numbers, the first in line order raises. It reads
+    the text in blocks of about _OBJ_CHARS characters, each cut after a
+    newline, which bounds its memory and changes none of the above.
     """
     if hasattr(source, "read"):
         text = source.read()
-    elif isinstance(source, (str, bytes)) and b"\n" in (
-            source if isinstance(source, bytes) else source.encode("ascii", "ignore")):
+    elif isinstance(source, (str, bytes)) and (
+            b"\n" if isinstance(source, bytes) else "\n") in source:
         text = source
     else:
         with open(source, "r", encoding="ascii") as fh:
             text = fh.read()
     if isinstance(text, bytes):
         text = text.decode("ascii")
-    vtok, ftok = [], []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        parts = line.split() or ["#"]       # a blank line reads as a comment
-        if parts[0] == "v":
-            if len(parts) != 4:
-                raise ValueError(f"line {lineno}: malformed vertex line {line!r}")
-            vtok += parts[1:]
-        elif parts[0] == "f":
-            if len(parts) != 4:
-                raise ValueError(f"line {lineno}: malformed face line {line!r}")
-            ftok += parts[1:]
-        elif not parts[0].startswith("#"):
-            raise ValueError(f"line {lineno}: unsupported OBJ directive {parts[0]!r}")
-    # numpy converts str tokens with Python float() and int()
-    try:
-        verts = np.array(vtok, dtype=float)
-        tris = np.array(ftok, dtype=np.int64)
-        if tris.size and tris.min() == np.iinfo(np.int64).min:
-            raise OverflowError("face index - 1 leaves int64")
-        tris -= 1
-    except (ValueError, OverflowError):
+    verts, tris = [np.empty(0)], [np.empty(0, np.int64)]
+    converting, lineno, at = True, 0, 0
+    while at < len(text):
+        cut = text.find("\n", at + _OBJ_CHARS) + 1 or len(text)   # splits no line, no "\r\n"
+        vtok, ftok = [], []
+        for lineno, line in enumerate(text[at:cut].splitlines(), start=lineno + 1):
+            parts = line.split() or ["#"]       # a blank line reads as a comment
+            if parts[0] == "v":
+                if len(parts) != 4:
+                    raise ValueError(f"line {lineno}: malformed vertex line {line!r}")
+                vtok += parts[1:]
+            elif parts[0] == "f":
+                if len(parts) != 4:
+                    raise ValueError(f"line {lineno}: malformed face line {line!r}")
+                ftok += parts[1:]
+            elif not parts[0].startswith("#"):
+                raise ValueError(f"line {lineno}: unsupported OBJ directive {parts[0]!r}")
+        at = cut
+        # numpy converts str tokens with Python float() and int(), until one fails
+        try:
+            if converting:
+                verts.append(np.array(vtok, dtype=float))
+                tris.append(np.array(ftok, dtype=np.int64))
+                if tris[-1].size and tris[-1].min() == np.iinfo(np.int64).min:
+                    raise OverflowError("face index - 1 leaves int64")
+                tris[-1] -= 1
+        except (ValueError, OverflowError):
+            converting = False
+    if not converting:
         # convert token by token in line order: the first invalid number
         # raises, and a face index whose 1-based shift leaves int64
         # overflows only here
+        tok = {"v": [], "f": []}
         for parts in map(str.split, text.splitlines()):
             if parts and not parts[0].startswith("#"):
-                for p in parts[1:]:
-                    (float if parts[0] == "v" else int)(p)
-        tris = np.asarray([int(p) - 1 for p in ftok], dtype=np.int64)
-    return Mesh(vertices=verts.reshape(-1, 3) if vtok else verts,
+                tok[parts[0]] += map(float if parts[0] == "v" else int, parts[1:])
+        verts = [np.array(tok["v"], dtype=float)]
+        tris = [np.asarray([i - 1 for i in tok["f"]], dtype=np.int64)]
+    verts, tris = np.concatenate(verts), np.concatenate(tris)
+    return Mesh(vertices=verts.reshape(-1, 3) if verts.size else verts,
                 triangles=tris.reshape(-1, 3))

@@ -61,6 +61,27 @@ def test_mesh_without_out_writes_no_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_mesh_failed_write_removes_the_partial_obj(tmp_path, monkeypatch):
+    target = tmp_path / "m.obj"
+    target.write_bytes(b"old contents\n")
+
+    def one_block_then_full(mesh, sink):
+        sink.write(b"v 0 0 0\n")
+        raise OSError("No space left on device")
+    monkeypatch.setattr("loopsurf.cli.export_obj", one_block_then_full)
+    code, out, err = invoke("mesh", "torus", "--resolution", "8", "--out", str(target))
+    assert (code, out) == (3, "")
+    assert err == f"error: cannot write {target}: No space left on device\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_mesh_unopenable_out_is_left_untouched(tmp_path):
+    code, out, err = invoke("mesh", "torus", "--resolution", "8", "--out", str(tmp_path))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
+    assert tmp_path.is_dir() and list(tmp_path.iterdir()) == []
+
+
 def test_mesh_unknown_scheme():
     code, _, err = invoke("mesh", "klein", "--resolution", "8")
     assert code == 2

@@ -1,5 +1,6 @@
 import io
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from loopsurf.embed import (
     EmbedConfig,
     Mesh,
     NonManifoldEdgeError,
+    _class_keys,
     build_mesh,
     embed,
     export_obj,
@@ -462,3 +464,121 @@ def test_vectorized_charts_match_embed():
         q = canonicalize(P, u[i], v[i])
         if not q.is_pole:
             assert np.array_equal(pc[i], pinched_sphere_chart(q.u, q.v))
+
+
+def test_obj_write_failure_leaves_a_prefix_of_whole_lines():
+    # n = 128: 16,384 vertex lines and 32,768 face lines, written in blocks
+    mesh = build_mesh(T, 128)
+    whole = io.BytesIO()
+    export_obj(mesh, whole)
+
+    class FailsOnSecondWrite:
+        def __init__(self):
+            self.data = []
+
+        def write(self, chunk):
+            if self.data:
+                raise OSError("disk full")
+            self.data.append(chunk)
+    sink = FailsOnSecondWrite()
+    with pytest.raises(OSError, match="disk full"):
+        export_obj(mesh, sink)
+    (prefix,) = sink.data
+    assert whole.getvalue().startswith(prefix) and prefix.endswith(b"\n")
+    assert 0 < len(prefix) < len(whole.getvalue())
+
+
+# ------------------------------------------------------------- bounded memory
+
+MIB = 2**20
+
+
+def _peak(fn, *args):
+    """fn(*args) and the tracemalloc peak of the call; numpy reports its
+    buffers to tracemalloc, so the peak holds the result and every
+    temporary."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mesh_layers_peak_memory():
+    # n = 256 torus: 131,072 faces and a 6.3 MB OBJ. Each bound is half the
+    # peak of the whole-array layers these replaced (41.1, 49.3, 23.2, 60.9
+    # and 59.8 MiB); the block-wise layers measured 16.9, 13.8, 9.2, 15.9
+    # and 13.8 MiB.
+    mesh, build_peak = _peak(build_mesh, T, 256)
+    assert build_peak <= 20.5 * MIB
+    want, inv_peak = _peak(mesh_invariants, mesh)
+    assert inv_peak <= 24.6 * MIB
+
+    def export(m):
+        sink = io.BytesIO()
+        export_obj(m, sink)
+        return sink.getvalue()
+    data, export_peak = _peak(export, mesh)
+    assert export_peak <= 11.6 * MIB
+    back, parse_peak = _peak(parse_obj, data)
+    assert parse_peak <= 30.4 * MIB
+    got, reparsed_peak = _peak(mesh_invariants, back)
+    assert reparsed_peak <= 29.9 * MIB
+    assert got == want
+
+
+def test_sparse_edge_class_labels_cost_no_memory():
+    # labels need not be dense: E counts the distinct ones, and the work
+    # does not grow with the largest label
+    mesh = build_mesh(T, 64)
+    want, dense_peak = _peak(mesh_invariants, mesh)
+    got, sparse_peak = _peak(mesh_invariants, replace(mesh, edge_ids=mesh.edge_ids << 40))
+    assert got == want
+    assert sparse_peak <= 1.1 * dense_peak
+
+
+# ------------------------------------------------------ indices beyond int32
+
+TETRAHEDRON = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]])
+
+
+def test_invariants_with_vertex_indices_beyond_int32():
+    # 2**31 + 8 vertices, none allocated; the closed tetrahedron on the last
+    # four builds no vertex-sized array, and its indices do not fit int32
+    nv = 2**31 + 8
+    verts = np.broadcast_to(np.zeros(3), (nv, 3))
+    inv = mesh_invariants(Mesh(vertices=verts, triangles=TETRAHEDRON + nv - 4))
+    small = mesh_invariants(Mesh(vertices=np.zeros((4, 3)), triangles=TETRAHEDRON))
+    assert (small.E, small.F, small.boundary_loops, small.orientable) == (6, 4, 0, True)
+    assert (inv.V, inv.E, inv.F, inv.euler_char) == (nv, 6, 4, nv - 2)
+    assert (inv.boundary_loops, inv.orientable) == (0, True)
+
+
+def _class_key_reference(scheme, n, i, j):
+    """_class_keys in Python integers, one grid point at a time."""
+    keys = []
+    for a, b in zip(i.tolist(), j.tolist()):
+        am, bm = a % n, b % n
+        if scheme is T:
+            keys.append(am * n + bm)
+        elif scheme is P:
+            keys.append(0 if am == 0 else 1 + (a - 1) * n + bm)
+        else:
+            keys.append(min(am, bm) * n + max(am, bm))
+    return keys
+
+
+@pytest.mark.parametrize("scheme", [T, P, M], ids=lambda s: s.value)
+@pytest.mark.parametrize("n,dtype", [(40_000, np.int64), (18_917, np.int32)])
+def test_class_keys_exact_at_large_resolution(scheme, n, dtype):
+    # build_mesh takes int32 indices while 6 (n+1)^2 < 2**31, that is up to
+    # n = 18,917; its 2n-grid keys reach 4 n^2, which leaves int32 at
+    # n = 40,000
+    rng = np.random.default_rng(n)
+    for m in (n, 2 * n):
+        edge = [0, 1, 2, m // 2, m - 2, m - 1, m]
+        i = np.array(edge * len(edge) + rng.integers(0, m + 1, 200).tolist())
+        j = np.array(np.repeat(edge, len(edge)).tolist() + rng.integers(0, m + 1, 200).tolist())
+        keys = _class_keys(scheme, m, i.astype(dtype), j.astype(dtype))
+        assert keys.tolist() == _class_key_reference(scheme, m, i, j)
