@@ -380,7 +380,7 @@ def parse_obj(source):
     line-numbered ValueError even when an earlier line holds an invalid
     number. Among invalid numbers, the first in line order raises. It reads
     the text in blocks of about _OBJ_CHARS characters, each cut after a
-    newline, which bounds its memory and changes none of the above.
+    newline and decoded on its own; this bounds memory and changes nothing above.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -390,14 +390,15 @@ def parse_obj(source):
     else:
         with open(source, "r", encoding="ascii") as fh:
             text = fh.read()
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
+    newline, as_str = ("\n", str) if isinstance(text, str) else (b"\n", bytes.decode)
+    if isinstance(text, bytes) and not text.isascii():
+        text.decode("ascii")                   # raises at the first non-ASCII byte
     verts, tris = [np.empty(0)], [np.empty(0, np.int64)]
     converting, lineno, at = True, 0, 0
     while at < len(text):
-        cut = text.find("\n", at + _OBJ_CHARS) + 1 or len(text)   # splits no line, no "\r\n"
+        cut = text.find(newline, at + _OBJ_CHARS) + 1 or len(text)   # splits no line, no "\r\n"
         vtok, ftok = [], []
-        for lineno, line in enumerate(text[at:cut].splitlines(), start=lineno + 1):
+        for lineno, line in enumerate(as_str(text[at:cut]).splitlines(), start=lineno + 1):
             parts = line.split() or ["#"]       # a blank line reads as a comment
             if parts[0] == "v":
                 if len(parts) != 4:
@@ -425,7 +426,7 @@ def parse_obj(source):
         # raises, and a face index whose 1-based shift leaves int64
         # overflows only here
         tok = {"v": [], "f": []}
-        for parts in map(str.split, text.splitlines()):
+        for parts in map(str.split, as_str(text).splitlines()):
             if parts and not parts[0].startswith("#"):
                 tok[parts[0]] += map(float if parts[0] == "v" else int, parts[1:])
         verts = [np.array(tok["v"], dtype=float)]

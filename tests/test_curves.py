@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from scipy.special import ellipe, ellipeinc
 
 from loopsurf.curves import from_spec, load_polyline, load_polyline_csv, make_preset
 
@@ -119,6 +120,56 @@ def test_periodicity_exact_on_representable_translates():
         a = curve.eval(t)
         assert np.array_equal(a, curve.eval(t + 1.0))
         assert np.array_equal(a, curve.eval(t - 1.0))
+
+
+TABLE_PRESETS = {"ellipse-2x1": ("ellipse", (2.0, 1.0)),
+                 "ellipse-1x3": ("ellipse", (1.0, 3.0)),
+                 "ellipse-100x1": ("ellipse", (100.0, 1.0)),
+                 "superellipse-2x1p4": ("superellipse", (2.0, 1.0, 4.0)),
+                 "superellipse-1x1p0.5": ("superellipse", (1.0, 1.0, 0.5)),
+                 "superellipse-3x2p20": ("superellipse", (3.0, 2.0, 20.0))}
+
+
+@pytest.mark.parametrize("kind, params", list(TABLE_PRESETS.values()), ids=list(TABLE_PRESETS))
+def test_preset_quarter_points_are_its_axis_crossings(kind, params):
+    # the quarter table ends exactly on its corners; cos(pi / 2) = 6e-17
+    # would put the superellipse (2, 1, 4) corner at x = 1.6e-8
+    a, b = params[:2]
+    got = make_preset(kind, params).eval(np.array([0.0, 0.25, 0.5, 0.75]))
+    assert np.array_equal(got, [[a, 0.0], [0.0, b], [-a, 0.0], [0.0, -b]])
+
+
+@pytest.mark.parametrize("kind, params", list(TABLE_PRESETS.values()), ids=list(TABLE_PRESETS))
+def test_preset_reflections_exact_on_dyadic_t(kind, params):
+    # the four quadrants are one table's reflections: the half turn is
+    # central symmetry, and t -> 1/2 - t mirrors x (zeros may change sign)
+    curve = make_preset(kind, params)
+    t = np.random.default_rng(19).integers(0, 1 << 32, size=2000) / float(1 << 32)
+    p = curve.eval(t)
+    assert np.array_equal(curve.eval(t + 0.5), -p)
+    assert np.array_equal(curve.eval(0.5 - t), p * [-1.0, 1.0])
+
+
+def _ellipse_arc(a, b, theta):
+    """Arc length of (a cos u, b sin u) for u from 0 to theta in [0, pi/2], and
+    the perimeter, through the complete and incomplete elliptic integrals."""
+    if a >= b:
+        m = 1.0 - (b / a) ** 2
+        return a * (ellipe(m) - ellipeinc(np.pi / 2.0 - theta, m)), 4.0 * a * ellipe(m)
+    m = 1.0 - (a / b) ** 2
+    return b * ellipeinc(theta, m), 4.0 * b * ellipe(m)
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 1.0), (1.0, 3.0), (1.2, 1.0), (10.0, 1.0), (100.0, 1.0)])
+def test_ellipse_quarter_table_matches_elliptic_integrals(a, b):
+    # the table is an inscribed chord polygon: never longer than the arc
+    # (measured: 1.5e-12 of the perimeter short, entries at most 3.8e-13)
+    curve = make_preset("ellipse", (a, b))
+    n = len(curve.arc_table) - 1
+    want, perimeter = _ellipse_arc(a, b, 2.0 * np.pi * (np.arange(n + 1) / (4.0 * n)))
+    assert perimeter - 1e-10 * perimeter <= curve.total_length <= perimeter
+    assert np.all(np.abs(curve.arc_table - want) <= 1e-12 * perimeter)
+    assert np.all(curve.arc_table <= want + 1e-16 * perimeter)
 
 
 @pytest.mark.parametrize("spec", ["circle:1.5", "ellipse:2,1", "superellipse:2,1,4"])

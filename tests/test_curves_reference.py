@@ -1,14 +1,17 @@
 """Curve construction and evaluation against full-array references.
 
-The evaluation reference is evaluation as first written: ``np.mod`` for the
-reduction to [0, 1), ``searchsorted`` over the arc table for the inversion
-and the polyline segment search, and a preset's raw parameter interpolated
-between ``np.linspace`` knots. ``t - floor(t)`` and the knots derived from
-the segment index (``idx * step``) must give the same bits on every input.
+The evaluation reference is evaluation written out plainly: ``np.mod`` for
+the reduction to [0, 1), ``searchsorted`` for a preset's quadrant, the
+distance to the nearest even integer for the fold onto its first quadrant,
+``searchsorted`` over the arc table for the inversion and the polyline
+segment search, and a preset's raw parameter interpolated between
+``np.linspace`` knots. ``t - floor(t)``, the quadrant tables and the knots
+derived from the segment index must give the same bits on every input.
 
-The construction reference builds each arc-table level from whole arrays
-(``np.linspace`` knots, one ``np.cumsum``). The streamed builders must return
-the same table, perimeter and refinement level, byte for byte.
+The construction reference builds each arc-table level of the first quadrant
+from whole arrays (``np.linspace`` knots on [0, 1/4], one ``np.cumsum``) and
+multiplies its length by 4. The streamed builders must return the same table,
+perimeter and refinement level, byte for byte.
 """
 import dataclasses
 import tracemalloc
@@ -38,16 +41,23 @@ def _eval_reference(curve, t):
         idx, frac = _locate_reference(curve.arc_table, np.clip(t * total, 0.0, total))
         closed = np.vstack([curve.vertices, curve.vertices[:1]])
         return closed[idx] + frac[..., None] * (closed[idx + 1] - closed[idx])
-    s = t
-    if curve.kind != "circle":
-        knots = np.linspace(0.0, 1.0, len(curve.arc_table))
-        idx, frac = _locate_reference(curve.arc_table, t * curve.total_length)
-        s = knots[idx] + frac * (knots[idx + 1] - knots[idx])
-    return _raw_point(curve.kind, curve.params, s)
+    if curve.kind == "circle":
+        return _raw_point(curve.kind, curve.params, t)
+    # quadrant q mirrors the first: x in quadrants 1 and 2, y in 2 and 3. The
+    # arc fraction along the first is 4t's distance to the nearest even
+    # integer, so odd quadrants run from its far end
+    q = np.searchsorted([0.25, 0.5, 0.75], t, side="right")
+    f = np.abs(4.0 * t - 2.0 * np.round(2.0 * t))
+    knots = np.linspace(0.0, 0.25, len(curve.arc_table))
+    idx, frac = _locate_reference(curve.arc_table, f * (curve.total_length / 4.0))
+    s = knots[idx] + frac * (knots[idx + 1] - knots[idx])
+    sx = np.where((q == 1) | (q == 2), -1.0, 1.0)
+    sy = np.where(q >= 2, -1.0, 1.0)
+    return _raw_point(curve.kind, curve.params, s) * np.stack([sx, sy], axis=-1)
 
 
 def _table_at_reference(kind, params, n):
-    knots = np.linspace(0.0, 1.0, n + 1)
+    knots = np.linspace(0.0, 0.25, n + 1)
     table = np.concatenate([[0.0], np.cumsum(_segment_lengths(_raw_point(kind, params, knots)))])
     return table, curves._perimeter(table)
 
@@ -67,7 +77,7 @@ def _build_arc_table_reference(kind, params):
         table, total = _table_at_reference(kind, params, n * 4)
     if np.any(np.diff(table) <= 0.0):
         raise ValueError("degenerate curve: arc table is not strictly increasing")
-    return table, total
+    return table, 4.0 * total
 
 
 def _assert_same_bytes(got, want):
@@ -84,7 +94,7 @@ ARC_TABLE_PRESETS = {
     "ellipse-10x1": ("ellipse", (10.0, 1.0)),
     "ellipse-100x1": ("ellipse", (100.0, 1.0)),
     "superellipse-2x1p4": ("superellipse", (2.0, 1.0, 4.0)),
-    "superellipse-1x1p0.5": ("superellipse", (1.0, 1.0, 0.5)),     # 2,097,153 entries
+    "superellipse-1x1p0.5": ("superellipse", (1.0, 1.0, 0.5)),     # 524,289 entries
     "superellipse-1x1p20": ("superellipse", (1.0, 1.0, 20.0)),
     "ellipse-2x1-scale1e-150": ("ellipse", (2e-150, 1e-150)),
     "ellipse-2x1-scale1e150": ("ellipse", (2e150, 1e150)),
@@ -97,7 +107,7 @@ def test_streamed_arc_table_matches_full_array(kind, params):
     want = _build_arc_table_reference(kind, params)
     curve = make_preset(kind, params)
     _assert_same_bytes((curve.arc_table, curve.total_length), want)
-    # eval derives knot i as i / n exactly, which needs n a power of two
+    # eval derives knot i as i / (4n) exactly, which needs n a power of two
     n = len(curve.arc_table) - 1
     assert n & (n - 1) == 0
 
@@ -108,16 +118,19 @@ def test_streamed_arc_table_matches_full_array(kind, params):
                                           ("superellipse", (1.0, 1.0, 0.5))],
                          ids=["ellipse-10x1", "superellipse-1x1p0.5"])
 def test_capped_arc_table_matches_full_array(monkeypatch, kind, params, cap, chunk):
-    # up to 2^13 the cap stops the refinement before it converges; at 2^19
-    # both curves converge with 4n past the cap and keep the converged level.
+    # cap counts the knots of the whole period, four per quarter knot. Up to
+    # 2^13 the cap stops the refinement before it converges; at 2^19 both
+    # curves converge with 4n past the cap and keep the converged level.
     # Chunks of 1000 knots end off every power-of-two boundary
-    monkeypatch.setattr(curves, "_TABLE_CAP", cap)
+    monkeypatch.setattr(curves, "_TABLE_CAP", cap // 4)
     monkeypatch.setattr(curves, "_CHUNK", chunk)
     want = _build_arc_table_reference(kind, params)
-    assert len(want[0]) - 1 <= cap
+    assert len(want[0]) - 1 <= cap // 4
     _assert_same_bytes(curves._build_arc_table(kind, params), want)
     curve = make_preset(kind, params)
-    t = np.concatenate([np.random.default_rng(17).uniform(0.0, 1.0, 1 << 14), want[0] / want[1]])
+    t = np.concatenate([np.random.default_rng(17).uniform(0.0, 1.0, 1 << 14),
+                        ((want[0] / want[1])[:, None] + np.arange(4) / 4.0).ravel(),
+                        0.5 - want[0] / want[1]])
     assert curve.eval(t).tobytes() == _eval_reference(curve, t).tobytes()
 
 
@@ -136,7 +149,8 @@ def test_arc_table_errors_match_full_array(kind, params, match):
 
 def test_build_and_index_peak_memory():
     # numpy reports its buffers to tracemalloc: the build holds little more
-    # than the table it keeps, and the table is all a preset keeps
+    # than the table it keeps, and the table is all a preset keeps: for
+    # this, the largest preset table, 524,289 entries over one quadrant
     tracemalloc.start()
     try:
         curve = make_preset("superellipse", (1.0, 1.0, 0.5))
@@ -144,6 +158,7 @@ def test_build_and_index_peak_memory():
     finally:
         tracemalloc.stop()
     assert build_peak <= 1.25 * curve.arc_table.nbytes
+    assert curve.arc_table.nbytes <= 4.2e6
     arrays = [f.name for f in dataclasses.fields(curve)
               if isinstance(getattr(curve, f.name), np.ndarray)]
     assert arrays == ["arc_table"]
@@ -191,7 +206,7 @@ def test_eval_matches_reference(curve):
 def test_segment_lengths_match_norm(curve):
     # the arc tables are built from these lengths, so they keep norm's bits
     if curve.vertices is None:
-        pts = _raw_point(curve.kind, curve.params, np.linspace(0.0, 1.0, len(curve.arc_table)))
+        pts = _raw_point(curve.kind, curve.params, np.linspace(0.0, 0.25, len(curve.arc_table)))
     else:
         pts = np.vstack([curve.vertices, curve.vertices[:1]])
     want = np.linalg.norm(np.diff(pts, axis=0), axis=1)
