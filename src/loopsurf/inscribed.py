@@ -24,7 +24,9 @@ _SAMPLE_BLOCK = 1024
 _PAIR_BUDGET = 1 << 18
 _REFINE_BATCH = 32
 _REFINE_BATCH_CAP = 4096
-# verify_rectangle's chart zoom: brackets per vertex, points per bracket, rounds (each 16x)
+# verify_rectangle: band distance at which two pairs are one, chart points before its
+# zoom, and the zoom's brackets per vertex, points per bracket, rounds (each 16x)
+_VERIFY_MIN_SEPARATION, _VERIFY_RESAMPLE_N = 1e-9, 1024
 _ZOOM_K, _ZOOM_S, _ZOOM_ROUNDS = 4, 33, 14
 
 
@@ -54,9 +56,9 @@ class RectangleWitness:
 
 @dataclass(frozen=True)
 class NotFound:
-    """Search outcome when no collision refined below tolerance; carries the
-    best combined residual seen (None only when not a single pair satisfied
-    the separation requirement, e.g. an oversized min_separation)."""
+    """Search outcome without a witness: ``best_residual`` is the least final
+    cost, over all grids, of a refined seed whose pairs stayed min_separation
+    apart, so above tol; None if no refined seed stayed apart."""
 
     best_residual: float | None
 
@@ -183,17 +185,15 @@ def _refine(curve, theta0, target, min_separation, accept=None):
     return theta, cost
 
 
-def _seed_blocks(t1, t2, images, cell, capture, seed_gate, min_separation):
+def _seed_blocks(t1, t2, images, cell, seed_gate):
     """Collision seeds (t1[j], t2[j], t1[i], t2[i]) in (i, j) order, by blocks
     of samples i, each twice the last but cut at _PAIR_BUDGET pairs: pairs j
-    < i in neighbouring image cells, image distance <= capture, separation >=
-    seed_gate; with the least image distance of pairs min_separation apart.
+    < i in neighbouring image cells, image distance <= cell, separation >=
+    seed_gate. Seeds alone: a best residual is a refined seed's cost (None if
+    none stays apart), never a raw image distance.
 
-    Only the pairs within capture are separated and sorted; their keys i * n
-    + j are unique, so the order is that of sorting all pairs first. The
-    tracked distance stays exact: if a near pair is min_separation apart,
-    every far pair lies beyond it; else every pair of the block is
-    separated, as the far ones alone can hold the least distance."""
+    Only the pairs within cell are separated and sorted; their keys i * n +
+    j are unique, so the order is that of sorting all pairs first."""
     n = len(images)
     keys = np.floor(images / cell).astype(np.int64)
     keys -= keys.min(axis=0) - 1               # >= 1: neighbour cells stay >= 0
@@ -217,17 +217,11 @@ def _seed_blocks(t1, t2, images, cell, capture, seed_gate, min_separation):
         ends = np.cumsum(counts)
         j = order[np.repeat(lo - ends + counts, counts) + np.arange(ends[-1])]
         ii = np.repeat(np.repeat(i, len(shifts)), counts)
-        raw = _lengths(images[j] - images[ii])
-        near = np.flatnonzero(raw <= capture)
+        near = np.flatnonzero(_lengths(images[j] - images[ii]) <= cell)
         near = near[np.argsort(ii[near] * n + j[near])]
-        sep = _pair_separation((t1[j[near]], t2[j[near]]), (t1[ii[near]], t2[ii[near]]))
-        tracked = raw[near][sep >= min_separation]
-        if not tracked.size:
-            tracked = raw[_pair_separation((t1[j], t2[j]), (t1[ii], t2[ii])) >= min_separation]
-        seed = near[sep >= seed_gate]
-        j, ii = j[seed], ii[seed]
-        yield (np.stack([t1[j], t2[j], t1[ii], t2[ii]], axis=1),
-               float(np.min(tracked, initial=np.inf)))
+        j, ii = j[near], ii[near]
+        keep = _pair_separation((t1[j], t2[j]), (t1[ii], t2[ii])) >= seed_gate
+        yield np.stack([t1[j], t2[j], t1[ii], t2[ii]], axis=1)[keep]
 
 
 def _make_witness(curve, theta):
@@ -256,38 +250,33 @@ def _check_tol(tol):
 
 def _search_level(curve, t1, t2, images, grid_n, tol, min_separation, aspect):
     """find_rectangle on the grid_n x grid_n samples (t1, t2) with their
-    images alone: the witness (or None) and the best residual seen."""
+    images alone: the witness (or None) and the least final cost of a
+    refined row whose pairs stayed min_separation apart (inf if none did)."""
     # rotation-invariant length scale so candidate generation (a pure
     # image-distance criterion) commutes with rigid motions of the curve
-    scale = curve.total_length / np.pi
-    cell = 4.0 * scale / grid_n
-    capture = cell
-
+    cell = 4.0 * (curve.total_length / np.pi) / grid_n
     best = np.inf
     target = 0.02 * tol
     seed_gate = max(min_separation, 4.0 / grid_n)
     best_witness, best_ratio_gap = None, np.inf
     batch = _REFINE_BATCH
 
-    for seeds, tracked in _seed_blocks(t1, t2, images, cell, capture, seed_gate,
-                                       min_separation):
-        best = min(best, tracked)
+    for seeds in _seed_blocks(t1, t2, images, cell, seed_gate):
         while len(seeds):
             thetas, costs = _refine(curve, seeds[:batch], target, min_separation,
                                     tol if aspect is None else None)
             seeds, batch = seeds[batch:], min(2 * batch, _REFINE_BATCH_CAP)
-            best = min(best, float(np.min(costs)))
-            for theta in thetas[costs <= tol]:
-                t = mod1(theta)
-                if _pair_separation((t[0], t[1]), (t[2], t[3])) >= min_separation:
-                    witness = _make_witness(curve, theta)
-                    if aspect is None:
-                        return witness, best
-                    ratio = _aspect_ratio(witness)
-                    if ratio > 0.0 and max(ratio / aspect, aspect / ratio) <= 1.5:
-                        return witness, best
-                    if abs(ratio - aspect) < best_ratio_gap:
-                        best_witness, best_ratio_gap = witness, abs(ratio - aspect)
+            apart = _row_separation(thetas) >= min_separation
+            best = min(best, float(np.min(costs[apart], initial=np.inf)))
+            for theta in thetas[apart & (costs <= tol)]:
+                witness = _make_witness(curve, theta)
+                if aspect is None:
+                    return witness, best
+                ratio = _aspect_ratio(witness)
+                if ratio > 0.0 and max(ratio / aspect, aspect / ratio) <= 1.5:
+                    return witness, best
+                if abs(ratio - aspect) < best_ratio_gap:
+                    best_witness, best_ratio_gap = witness, abs(ratio - aspect)
     return best_witness, best
 
 
@@ -301,7 +290,8 @@ def find_rectangle(curve, grid_n=64, tol=1e-7, min_separation=1e-3, aspect=None)
     in ordered batches, and the first in grid order whose combined residual
     ||(mid difference, diagonal-length difference)|| drops to ``tol``, with
     its pairs still ``min_separation`` apart on the band, wins; else
-    NotFound carries the best residual of all grids. Seed pairs must also be
+    NotFound carries the least final cost of a refined seed that stayed
+    apart, over all grids (None if none did). Seed pairs must also be
     max(min_separation, 4/g) apart: closer ones are resolution artifacts of
     one image sheet, and chasing them makes the search quadratic in grid
     density. So a coarse grid finds a fatter rectangle sooner, and one whose
@@ -330,17 +320,7 @@ def find_rectangle(curve, grid_n=64, tol=1e-7, min_separation=1e-3, aspect=None)
         if witness is not None:
             return witness
         best = min(best, g_best)
-
-    if not np.isfinite(best):
-        # nothing landed in a shared neighborhood: report the honest best
-        # over a deterministic subsample of the grid_n samples' separated pairs
-        sub = np.arange(0, len(images), max(1, len(images) // 1024))
-        a, b = (sub[k] for k in np.triu_indices(len(sub), k=1))
-        ok = _pair_separation((t1[a], t2[a]), (t1[b], t2[b])) >= min_separation
-        if not np.any(ok):
-            return NotFound(best_residual=None)
-        best = np.min(np.linalg.norm(images[a[ok]] - images[b[ok]], axis=1))
-    return NotFound(best_residual=float(best))
+    return NotFound(best_residual=float(best) if np.isfinite(best) else None)
 
 
 def _chart_distances(curve, v, n):
@@ -359,13 +339,13 @@ def _chart_distances(curve, v, n):
     return d.min(axis=(1, 2))
 
 
-def verify_rectangle(curve, witness, tol, min_separation=1e-9, resample_n=1024):
+def verify_rectangle(curve, witness, tol):
     """Independent audit of a witness: vertex-to-curve distances, midpoint
     and diagonal-length residuals, side lengths and the angle between the
     diagonals. Passes iff every residual is <= tol.
 
     A polygon is measured against its exact segments. Any other curve is
-    measured on its own chart: ``resample_n`` arc-uniform points set the
+    measured on its own chart: _VERIFY_RESAMPLE_N arc-uniform points set the
     starting grid, then brackets zoom onto each vertex's nearest points past
     float resolution in t. A distance is the least to a chart point evaluated:
     attained, so an upper bound on the true distance; a vertex farther than
@@ -376,7 +356,7 @@ def verify_rectangle(curve, witness, tol, min_separation=1e-9, resample_n=1024):
     """
     _check_tol(tol)
     (a1, a2), (b1, b2) = witness.pairs
-    if _pair_separation((a1, a2), (b1, b2)) <= min_separation:
+    if _pair_separation((a1, a2), (b1, b2)) <= _VERIFY_MIN_SEPARATION:
         raise ValueError("pairs not distinct")
     v = np.asarray(witness.vertices, dtype=float)
     if v.shape != (4, 2):
@@ -388,7 +368,7 @@ def verify_rectangle(curve, witness, tol, min_separation=1e-9, resample_n=1024):
         s = np.clip(np.einsum("kmi,mi->km", ap, ab) / np.einsum("mi,mi->m", ab, ab), 0.0, 1.0)
         dists = np.min(np.linalg.norm(v[:, None, :] - (poly + s[..., None] * ab), axis=-1), axis=1)
     else:
-        dists = _chart_distances(curve, v, resample_n)
+        dists = _chart_distances(curve, v, _VERIFY_RESAMPLE_N)
     diag1, diag2 = v[2] - v[0], v[3] - v[1]
     mid_res = float(np.linalg.norm(0.5 * (v[0] + v[2]) - 0.5 * (v[1] + v[3])))
     len_res = float(abs(np.linalg.norm(diag1) - np.linalg.norm(diag2)))

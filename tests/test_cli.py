@@ -142,12 +142,14 @@ def test_rect_circle_found():
 
 
 def test_rect_not_found_is_success():
-    code, out, _ = invoke("rect", "--curve", "circle:1", "--grid", "16",
-                          "--tol", "1e-12", "--min-sep", "0.69")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["found"] is False
-    assert "best_residual" in payload
+    # a residual is null or above tol: ellipse 10:1 printed 0.0 without a witness
+    for curve, min_sep in (("circle:1", "0.69"), ("ellipse:10,1", "0.4")):
+        code, out, _ = invoke("rect", "--curve", curve, "--grid", "16",
+                              "--tol", "1e-12", "--min-sep", min_sep)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["found"] is False
+        assert payload["best_residual"] is None or payload["best_residual"] > 1e-12
 
 
 def test_rect_bad_curve_spec():

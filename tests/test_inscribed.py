@@ -176,7 +176,28 @@ def test_not_found_is_data_with_best_residual():
     # an oversized separation requirement suppresses every candidate
     res = find_rectangle(c, grid_n=16, tol=1e-12, min_separation=0.69)
     assert isinstance(res, NotFound)
-    assert res.best_residual is None or np.isfinite(res.best_residual)
+    assert res.best_residual is None or 1e-12 < res.best_residual < np.inf
+
+
+NOT_FOUND_CASES = [
+    # ellipse 10:1 read 0.0 and the triangle 5.0e-16 while rows collapsed onto
+    # one chord and unrefined grid distances counted as residuals
+    ("ellipse-10x1", lambda: make_preset("ellipse", [10.0, 1.0]), 16, 0.4),
+    ("triangle", lambda: load_polyline([(0.0, 0.0), (4.0, 0.0), (1.0, 3.0)]), 16, 0.4),
+    ("circle", lambda: make_preset("circle", [1.0]), 32, 0.5),
+    ("superellipse-1x1p0.5", lambda: make_preset("superellipse", [1.0, 1.0, 0.5]), 16, 0.4),
+    ("superellipse-2x1p4", lambda: make_preset("superellipse", [2.0, 1.0, 4.0]), 32, 0.4),
+]
+
+
+@pytest.mark.parametrize("name,make,g,min_sep", NOT_FOUND_CASES,
+                         ids=[c[0] for c in NOT_FOUND_CASES])
+def test_not_found_residual_is_a_separated_miss(name, make, g, min_sep):
+    # a refined row min_sep apart with cost <= tol is a witness, so a search
+    # without one reports a residual above tol, or None when no row stayed apart
+    res = find_rectangle(make(), grid_n=g, tol=1e-12, min_separation=min_sep)
+    assert isinstance(res, NotFound)
+    assert res.best_residual is None or 1e-12 < res.best_residual < np.inf
 
 
 def test_soundness_witness_passes_at_10x_tol():

@@ -86,8 +86,7 @@ def _refine_scalar(curve, theta0, target, min_separation):
     return theta, cost
 
 
-def find_rectangle_reference(curve, grid_n=64, tol=1e-7, min_separation=1e-3, aspect=None,
-                             fallback=True):
+def find_rectangle_reference(curve, grid_n=64, tol=1e-7, min_separation=1e-3, aspect=None):
     scale = curve.total_length / np.pi
     cell = 4.0 * scale / grid_n
     capture = cell
@@ -114,38 +113,27 @@ def find_rectangle_reference(curve, grid_n=64, tol=1e-7, min_separation=1e-3, as
             candidates = np.sort(np.asarray(candidates, dtype=np.int64))
             sep = _pair_separation((t1[candidates], t2[candidates]), (t1[idx], t2[idx]))
             raw = np.linalg.norm(images[candidates] - images[idx], axis=1)
-            tracked = raw[sep >= min_separation]
-            if tracked.size:
-                best = min(best, float(np.min(tracked)))
             for j in candidates[(sep >= seed_gate) & (raw <= capture)]:
                 theta0 = np.array([t1[j], t2[j], t1[idx], t2[idx]])
                 theta, cost = _refine_scalar(curve, theta0, target, min_separation)
+                ta = mod1(theta[:2])
+                tb = mod1(theta[2:])
+                if _pair_separation((ta[0], ta[1]), (tb[0], tb[1])) < min_separation:
+                    continue        # collapsed onto one chord: neither witness nor miss
                 best = min(best, cost)
                 if cost <= tol:
-                    ta = mod1(theta[:2])
-                    tb = mod1(theta[2:])
-                    if _pair_separation((ta[0], ta[1]), (tb[0], tb[1])) >= min_separation:
-                        witness = _make_witness(curve, theta)
-                        if aspect is None:
-                            return witness
-                        ratio = _aspect_ratio(witness)
-                        if ratio > 0.0 and max(ratio / aspect, aspect / ratio) <= 1.5:
-                            return witness
-                        if abs(ratio - aspect) < best_ratio_gap:
-                            best_witness, best_ratio_gap = witness, abs(ratio - aspect)
+                    witness = _make_witness(curve, theta)
+                    if aspect is None:
+                        return witness
+                    ratio = _aspect_ratio(witness)
+                    if ratio > 0.0 and max(ratio / aspect, aspect / ratio) <= 1.5:
+                        return witness
+                    if abs(ratio - aspect) < best_ratio_gap:
+                        best_witness, best_ratio_gap = witness, abs(ratio - aspect)
         grid_hash.setdefault((kx, ky, kz), []).append(idx)
     if best_witness is not None:
         return best_witness
-    if fallback and not np.isfinite(best):
-        stride = max(1, len(images) // 1024)
-        sub = np.arange(0, len(images), stride)
-        ii, jj = np.triu_indices(len(sub), k=1)
-        a, b = sub[ii], sub[jj]
-        ok = _pair_separation((t1[a], t2[a]), (t1[b], t2[b])) >= min_separation
-        if not np.any(ok):
-            return NotFound(best_residual=None)
-        best = float(np.min(np.linalg.norm(images[a[ok]] - images[b[ok]], axis=1)))
-    return NotFound(best_residual=float(best))
+    return NotFound(best_residual=float(best) if np.isfinite(best) else None)
 
 
 def _levels(grid_n):
@@ -155,17 +143,15 @@ def _levels(grid_n):
 
 def coarse_to_fine_reference(curve, grid_n, tol, min_separation=1e-3):
     """The reference witness of the coarsest level that has one; else the
-    least best residual of all levels or, when no level has a finite one,
-    the subsample fallback of the grid_n level alone."""
-    best = np.inf
+    least best residual of all levels, None when no level has one."""
+    misses = []
     for g in _levels(grid_n):
-        out = find_rectangle_reference(curve, g, tol, min_separation, fallback=False)
+        out = find_rectangle_reference(curve, g, tol, min_separation)
         if isinstance(out, RectangleWitness):
             return out
-        best = min(best, out.best_residual)
-    if np.isfinite(best):
-        return NotFound(best_residual=best)
-    return find_rectangle_reference(curve, grid_n, tol, min_separation)
+        if out.best_residual is not None:
+            misses.append(out.best_residual)
+    return NotFound(best_residual=min(misses, default=None))
 
 
 def _level_witness(curve, grid_n, tol, min_separation=1e-3, aspect=None):
@@ -211,16 +197,19 @@ def test_batched_search_returns_reference_witness(name, make, kwargs):
 
 
 @pytest.mark.parametrize("make,kwargs", [
-    # every pair too far apart on the band: the residual is None
+    # every pair too far apart on the band: no seed, the residual is None
     (lambda: make_preset("circle", [1.0]), dict(grid_n=16, tol=1e-12, min_separation=0.69)),
-    # seeds converge but onto chords closer than min_separation: the best
-    # residual is a refine cost
+    # seeds converge but onto chords closer than min_separation: no refined
+    # row stays apart, so the residual is None as well
     (lambda: load_polyline(TRIANGLE), dict(grid_n=16, tol=1e-12, min_separation=0.4)),
-    # over levels 16, 32 and 64: the fallback runs once, at grid 64, and
-    # keeps its single-grid value
+    # over levels 16, 32 and 64, and on the grid 64 level alone
     (lambda: make_preset("circle", [1.0]), dict(grid_n=64, tol=1e-12, min_separation=0.69)),
     (lambda: load_polyline(TRIANGLE), dict(grid_n=64, tol=1e-12, min_separation=0.4)),
-], ids=["no-separated-pair", "collapsed-seeds", "no-separated-pair-g64", "collapsed-seeds-g64"])
+    # separated rows that miss: the least of their final costs, above tol
+    (lambda: make_preset("ellipse", [10.0, 1.0]),
+     dict(grid_n=16, tol=1e-12, min_separation=0.4)),
+], ids=["no-separated-pair", "collapsed-seeds", "no-separated-pair-g64", "collapsed-seeds-g64",
+        "separated-miss"])
 def test_batched_search_returns_reference_best_residual(make, kwargs):
     curve = make()
     want = coarse_to_fine_reference(curve, **kwargs)
@@ -241,8 +230,7 @@ def test_batched_refine_matches_scalar_refine_per_seed():
     cell = 4.0 * (curve.total_length / np.pi) / g
     m, d = np.meshgrid(np.arange(g) / g, 0.25 * (np.arange(g) + 1.0) / g, indexing="ij")
     t1, t2 = mod1(m - d).ravel(), mod1(m + d).ravel()
-    blocks = _seed_blocks(t1, t2, _images(curve, t1, t2), cell, cell, 4.0 / g, min_sep)
-    seeds = next(blocks)[0][32:64]
+    seeds = next(_seed_blocks(t1, t2, _images(curve, t1, t2), cell, 4.0 / g))[32:64]
     thetas, costs = _refine(curve, seeds, 0.02 * tol, min_sep)
     for seed, theta, cost in zip(seeds, thetas, costs):
         want_theta, want_cost = _refine_scalar(curve, seed, 0.02 * tol, min_sep)
@@ -316,8 +304,7 @@ def test_refine_matches_32_point_jacobian_on_singular_rows():
     cell = 4.0 * (curve.total_length / np.pi) / g
     m, d = np.meshgrid(np.arange(g) / g, 0.25 * (np.arange(g) + 1.0) / g, indexing="ij")
     t1, t2 = mod1(m - d).ravel(), mod1(m + d).ravel()
-    blocks = _seed_blocks(t1, t2, _images(curve, t1, t2), cell, cell, 4.0 / g, min_sep)
-    seeds = next(blocks)[0][32:64]
+    seeds = next(_seed_blocks(t1, t2, _images(curve, t1, t2), cell, 4.0 / g))[32:64]
     theta, cost = _refine(curve, seeds, 0.02 * tol, min_sep)
     want_theta, want_cost = _refine_32_point(curve, seeds, 0.02 * tol, min_sep)
     assert theta.tobytes() == want_theta.tobytes()
@@ -366,12 +353,11 @@ def _pair_blocks_sort_first(t1, t2, images, cell):
         yield j, ii, sep, raw
 
 
-def _seeds_sort_first(t1, t2, block, capture, seed_gate, min_separation):
+def _seeds_sort_first(t1, t2, block, capture, seed_gate):
     j, ii, sep, raw = block
-    tracked = float(np.min(raw[sep >= min_separation], initial=np.inf))
     seed = (sep >= seed_gate) & (raw <= capture)
     j, ii = j[seed], ii[seed]
-    return np.stack([t1[j], t2[j], t1[ii], t2[ii]], axis=1), tracked
+    return np.stack([t1[j], t2[j], t1[ii], t2[ii]], axis=1)
 
 
 def _search_grid(curve, g):
@@ -386,17 +372,11 @@ def _assert_seed_blocks_match(curve, g, min_seps):
     sort-first blocks, whose pairs are made once for all of them."""
     t1, t2, images, cell = _search_grid(curve, g)
     gates = [max(min_sep, 4.0 / g) for min_sep in min_seps]
-    got = zip(*(_seed_blocks(t1, t2, images, cell, cell, gate, min_sep)
-                for gate, min_sep in zip(gates, min_seps)))
-    tracked_values = []
+    got = zip(*(_seed_blocks(t1, t2, images, cell, gate) for gate in gates))
     for blocks, pairs in itertools.zip_longest(got, _pair_blocks_sort_first(t1, t2, images, cell)):
         assert blocks is not None and pairs is not None
-        for (seeds, tracked), gate, min_sep in zip(blocks, gates, min_seps):
-            want_seeds, want_tracked = _seeds_sort_first(t1, t2, pairs, cell, gate, min_sep)
-            assert seeds.tobytes() == want_seeds.tobytes()
-            assert tracked == want_tracked
-            tracked_values.append(tracked)
-    return cell, tracked_values
+        for seeds, gate in zip(blocks, gates):
+            assert seeds.tobytes() == _seeds_sort_first(t1, t2, pairs, cell, gate).tobytes()
 
 
 SEED_CURVES = [(name, RECT_FIRST_CURVES[name], g) for name, g in (
@@ -413,21 +393,13 @@ def test_filter_first_seed_blocks_match_sort_first(name, make, g):
     _assert_seed_blocks_match(make(), g, (1e-3, 0.01, 0.69))
 
 
-def test_filter_first_seed_blocks_track_far_pairs():
-    # at min_separation 0.4 no pair within capture of ellipse 2:1 at grid 16
-    # is separated, but a farther pair is: its distance, beyond capture, is
-    # the tracked value
-    capture, tracked = _assert_seed_blocks_match(make_preset("ellipse", [2.0, 1.0]), 16, (0.4,))
-    assert capture < tracked[0] < np.inf
-
-
 def _winning_batch(curve, g, tol, min_sep):
     """The refine batch the search at grid g accepts its witness from, with
     the uncut results and the index of the first accepted row; None if the
     grid has no witness."""
     batch = _REFINE_BATCH
     t1, t2, images, cell = _search_grid(curve, g)
-    for seeds, _ in _seed_blocks(t1, t2, images, cell, cell, max(min_sep, 4.0 / g), min_sep):
+    for seeds in _seed_blocks(t1, t2, images, cell, max(min_sep, 4.0 / g)):
         while len(seeds):
             rows = seeds[:batch]
             theta, cost = _refine(curve, rows, 0.02 * tol, min_sep)
