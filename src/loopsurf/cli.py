@@ -122,12 +122,10 @@ def _cmd_rect(ns, out):
                                 min_separation=ns.min_sep)
     except ValueError as e:
         raise _UsageError(str(e)) from None
+    payload = result.to_json()
     if isinstance(result, RectangleWitness):
-        payload = result.to_json()
         payload["found"] = True
-        _emit(out, payload)
-    else:
-        _emit(out, result.to_json())
+    _emit(out, payload)
     return EXIT_OK
 
 
@@ -155,7 +153,8 @@ def _build_parser():
     p = sub.add_parser("mesh", help="build a welded mesh, print its invariants")
     p.add_argument("scheme")
     p.add_argument("--resolution", type=int, required=True)
-    p.add_argument("--out", default=None, help="write Wavefront OBJ here")
+    p.add_argument("--out", default=None, help="write Wavefront OBJ here; a mobius band at "
+                   "resolution 3 or 4 re-parses as non-manifold (it needs its edge classes)")
     p.add_argument("--R", type=float, default=2.0)
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--w", type=float, default=0.5)
@@ -177,8 +176,11 @@ def _build_parser():
     p.add_argument("--curve", required=True)
     p.add_argument("--grid", type=int, required=True, help="finest search grid (>= 16); "
                    "grids 16, 32, 64, ... below it go first, and the coarsest with a witness wins")
-    p.add_argument("--tol", type=float, required=True)
-    p.add_argument("--min-sep", dest="min_sep", type=float, default=1e-3)
+    p.add_argument("--tol", type=float, required=True, help="absolute, in the curve's "
+                   "units: bounds the residuals and the vertex distances to the curve")
+    p.add_argument("--min-sep", dest="min_sep", type=float, default=1e-3,
+                   help="least distance of the two pairs on the unordered-pair band, in "
+                        "loop-parameter units (fractions of the perimeter)")
     p.set_defaults(func=_cmd_rect)
 
     p = sub.add_parser("curve-sample", help="CSV sample of a curve")

@@ -58,10 +58,10 @@ class Mesh:
     of each triangle side: slot k of triangle f is the edge from vertex k
     to vertex (k+1)%3, and edge_ids[f, k] is its equivalence class: the
     class of the side's midpoint on the 2n grid, with the two surviving
-    sides of each collapsed sliver joined. At coarse resolutions distinct
-    quotient edges can join the same pair of welded vertices, so vertex
-    pairs alone would under-count E; invariants fall back to vertex pairs
-    when the field is absent (e.g. meshes re-parsed from OBJ).
+    sides of each collapsed sliver joined. Only on the Möbius band at n = 3
+    and 4 do distinct quotient edges join one pair of welded vertices, which
+    vertex pairs alone read as a non-manifold edge; invariants fall back to
+    vertex pairs when the field is absent (e.g. meshes re-parsed from OBJ).
     """
 
     vertices: np.ndarray
@@ -393,12 +393,12 @@ def parse_obj(source):
     newline, as_str = ("\n", str) if isinstance(text, str) else (b"\n", bytes.decode)
     if isinstance(text, bytes) and not text.isascii():
         text.decode("ascii")                   # raises at the first non-ASCII byte
-    verts, tris = [np.empty(0)], [np.empty(0, np.int64)]
-    converting, lineno, at = True, 0, 0
+    blocks = [(np.empty(0), np.empty(0, np.int64))]
+    error, lineno, at = None, 0, 0
     while at < len(text):
         cut = text.find(newline, at + _OBJ_CHARS) + 1 or len(text)   # splits no line, no "\r\n"
-        vtok, ftok = [], []
-        for lineno, line in enumerate(as_str(text[at:cut]).splitlines(), start=lineno + 1):
+        lines, vtok, ftok = as_str(text[at:cut]).splitlines(), [], []
+        for lineno, line in enumerate(lines, start=lineno + 1):
             parts = line.split() or ["#"]       # a blank line reads as a comment
             if parts[0] == "v":
                 if len(parts) != 4:
@@ -411,26 +411,29 @@ def parse_obj(source):
             elif not parts[0].startswith("#"):
                 raise ValueError(f"line {lineno}: unsupported OBJ directive {parts[0]!r}")
         at = cut
+        if isinstance(error, ValueError):
+            continue                            # conversion has stopped
         # numpy converts str tokens with Python float() and int(), until one fails
         try:
-            if converting:
-                verts.append(np.array(vtok, dtype=float))
-                tris.append(np.array(ftok, dtype=np.int64))
-                if tris[-1].size and tris[-1].min() == np.iinfo(np.int64).min:
-                    raise OverflowError("face index - 1 leaves int64")
-                tris[-1] -= 1
+            v, f = np.array(vtok, dtype=float), np.array(ftok, dtype=np.int64) - 1
+            if f.size and f.max() == np.iinfo(np.int64).max:     # wrapped: index int64 min
+                raise OverflowError("face index - 1 leaves int64")
         except (ValueError, OverflowError):
-            converting = False
-    if not converting:
-        # convert token by token in line order: the first invalid number
-        # raises, and a face index whose 1-based shift leaves int64
-        # overflows only here
-        tok = {"v": [], "f": []}
-        for parts in map(str.split, as_str(text).splitlines()):
-            if parts and not parts[0].startswith("#"):
-                tok[parts[0]] += map(float if parts[0] == "v" else int, parts[1:])
-        verts = [np.array(tok["v"], dtype=float)]
-        tris = [np.asarray([i - 1 for i in tok["f"]], dtype=np.int64)]
-    verts, tris = np.concatenate(verts), np.concatenate(tris)
+            # this block token by token in line order: an invalid number ends conversion,
+            # an int64 overflow of a shifted face index yields to a later invalid number
+            try:
+                tok = {"v": [], "f": []}
+                for parts in map(str.split, lines):
+                    if parts and not parts[0].startswith("#"):
+                        tok[parts[0]] += map(float if parts[0] == "v" else int, parts[1:])
+                v = np.array(tok["v"], dtype=float)
+                f = np.asarray([i - 1 for i in tok["f"]], dtype=np.int64)
+            except (ValueError, OverflowError) as e:
+                error = e if error is None or isinstance(e, ValueError) else error
+                continue
+        blocks.append((v, f))
+    if error is not None:
+        raise error
+    verts, tris = map(np.concatenate, zip(*blocks))
     return Mesh(vertices=verts.reshape(-1, 3) if verts.size else verts,
                 triangles=tris.reshape(-1, 3))

@@ -128,8 +128,9 @@ def _refine(curve, theta0, target, min_separation, accept=None):
     """Damped least-squares on the four parameters of each seed row (B, 4),
     rows in lockstep with a damping factor each, finite-difference Jacobian
     (the curve may be a polyline with corners) from 12 curve points per row:
-    the four at theta, and each moved by ±h. A row stops early when its two
-    chords drift into coincidence. Returns parameters and final costs.
+    the four at theta, and each moved by ±h. Returns (theta, cost, sep) per row:
+    sep, the band distance (_row_separation) at theta, is kept current and every
+    stop reads it. A row stops early when its chords drift into coincidence.
 
     The LM step is J^T y with (J J^T + lam) y = -r, solved in the residual
     space, not through J^T J: that has rank 3, and a tiny lam fills its null
@@ -146,16 +147,13 @@ def _refine(curve, theta0, target, min_separation, accept=None):
     cost = _norms(res)
     lam = np.full(len(theta), 1e-6)
     steps = np.array([0.0, _REFINE_FD_STEP, -_REFINE_FD_STEP])
-    live = was = np.arange(len(theta))
+    live, sep = np.arange(len(theta)), _row_separation(theta)
     for _ in range(_REFINE_MAX_ITER):
-        live = live[cost[live] > target]
-        live = live[_row_separation(theta[live]) >= 0.25 * min_separation]  # else collapsing
+        live = live[(cost[live] > target) & (sep[live] >= 0.25 * min_separation)]
         if accept is not None:
-            done = np.delete(was, np.searchsorted(was, live))   # stopped since the last check
-            done = done[cost[done] <= accept]
-            if done.size:
-                accepted = done[_row_separation(theta[done]) >= min_separation]
-                live = live[live < accepted.min(initial=len(theta))]
+            hit = (cost <= accept) & (sep >= min_separation)
+            hit[live] = False                       # stopped rows only
+            live = live[live < np.argmax(np.append(hit, True))]
         if not live.size:
             break
         pts = curve.eval(theta[live][:, :, None] + steps)       # (L, param, 0/+h/-h, 2)
@@ -181,8 +179,9 @@ def _refine(curve, theta0, target, min_separation, accept=None):
             lam[won] = np.maximum(lam[won] / 3.0, 1e-12)
             lam[rows[~better]] *= 10.0
             trying = trying[~better]
-        was, live = live, np.delete(live, trying)
-    return theta, cost
+        live = np.delete(live, trying)
+        sep[live] = _row_separation(theta[live])     # stalled rows have not moved
+    return theta, cost, sep
 
 
 def _seed_blocks(t1, t2, images, cell, seed_gate):
@@ -263,10 +262,10 @@ def _search_level(curve, t1, t2, images, grid_n, tol, min_separation, aspect):
 
     for seeds in _seed_blocks(t1, t2, images, cell, seed_gate):
         while len(seeds):
-            thetas, costs = _refine(curve, seeds[:batch], target, min_separation,
-                                    tol if aspect is None else None)
+            thetas, costs, seps = _refine(curve, seeds[:batch], target, min_separation,
+                                          tol if aspect is None else None)
             seeds, batch = seeds[batch:], min(2 * batch, _REFINE_BATCH_CAP)
-            apart = _row_separation(thetas) >= min_separation
+            apart = seps >= min_separation
             best = min(best, float(np.min(costs[apart], initial=np.inf)))
             for theta in thetas[apart & (costs <= tol)]:
                 witness = _make_witness(curve, theta)

@@ -288,13 +288,9 @@ def decode(q):
     the caller can tell from ``q.is_pole``.
     """
     q = quotient_point(q.scheme, q.u, q.v)  # re-validate canonical domain
-    if q.scheme is Scheme.TORUS:
-        return PairOnLoop(q.u, q.v, ordered=True)
-    if q.scheme is Scheme.PINCHED_SPHERE:
-        if q.is_pole:
-            return PairOnLoop(0.0, 0.0, ordered=True)
-        return PairOnLoop(q.u, q.v, ordered=True)
-    return PairOnLoop(q.u - q.v, q.u + q.v, ordered=False)
+    if q.scheme is Scheme.MOBIUS_UNORDERED:
+        return PairOnLoop(q.u - q.v, q.u + q.v, ordered=False)
+    return PairOnLoop(q.u, q.v, ordered=True)     # the pole is already (0, 0)
 
 
 def _edge_partners(c):

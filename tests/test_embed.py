@@ -333,6 +333,20 @@ def test_non_manifold_edge_reported():
         mesh_invariants(mesh)
 
 
+@pytest.mark.parametrize("scheme", [T, P, M], ids=lambda s: s.value)
+def test_vertex_pairs_suffice_except_on_the_coarsest_bands(scheme):
+    # only the Möbius band at n = 3 and 4 has two quotient edges on one pair
+    # of welded vertices, so only there does a mesh need its edge classes
+    for n in [*range(3, 21), 64]:
+        mesh = build_mesh(scheme, n)
+        bare = Mesh(mesh.vertices, mesh.triangles)
+        if scheme is M and n in (3, 4):
+            with pytest.raises(NonManifoldEdgeError):
+                mesh_invariants(bare)
+        else:
+            assert mesh_invariants(bare) == mesh_invariants(mesh)
+
+
 def test_refinement_stability():
     for scheme, key in ((T, (0, 0, True)), (P, (1, 0, True)), (M, (0, 1, False))):
         for n in (3, 9, 27):
@@ -527,6 +541,18 @@ def test_mesh_layers_peak_memory():
     got, reparsed_peak = _peak(mesh_invariants, back)
     assert reparsed_peak <= 29.9 * MIB
     assert got == want
+
+
+def test_parse_with_an_unconvertible_face_index_converts_by_block():
+    # 2**63 fails numpy's int64 conversion, so its block converts token by
+    # token; the other blocks stay in bulk, within the valid file's bound
+    sink = io.BytesIO()
+    export_obj(build_mesh(T, 256), sink)
+    data = sink.getvalue() + b"f 9223372036854775808 1 2\n"
+    back, parse_peak = _peak(parse_obj, data)
+    assert parse_peak <= 12.0 * MIB
+    assert back.triangles[-1].tolist() == [2**63 - 1, 0, 1]
+    assert len(back.triangles) == 2 * 256 * 256 + 1
 
 
 def test_sparse_edge_class_labels_cost_no_memory():

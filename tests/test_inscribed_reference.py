@@ -231,7 +231,7 @@ def test_batched_refine_matches_scalar_refine_per_seed():
     m, d = np.meshgrid(np.arange(g) / g, 0.25 * (np.arange(g) + 1.0) / g, indexing="ij")
     t1, t2 = mod1(m - d).ravel(), mod1(m + d).ravel()
     seeds = next(_seed_blocks(t1, t2, _images(curve, t1, t2), cell, 4.0 / g))[32:64]
-    thetas, costs = _refine(curve, seeds, 0.02 * tol, min_sep)
+    thetas, costs, _ = _refine(curve, seeds, 0.02 * tol, min_sep)
     for seed, theta, cost in zip(seeds, thetas, costs):
         want_theta, want_cost = _refine_scalar(curve, seed, 0.02 * tol, min_sep)
         assert theta.tobytes() == want_theta.tobytes()
@@ -291,10 +291,24 @@ RECT_FIRST_CURVES = {
 def test_refine_matches_32_point_jacobian_on_random_seeds(name):
     curve = RECT_FIRST_CURVES[name]()
     seeds = np.random.default_rng(17).random((2000, 4))
-    theta, cost = _refine(curve, seeds, 0.02 * 1e-7, 1e-3)
+    theta, cost, _ = _refine(curve, seeds, 0.02 * 1e-7, 1e-3)
     want_theta, want_cost = _refine_32_point(curve, seeds, 0.02 * 1e-7, 1e-3)
     assert theta.tobytes() == want_theta.tobytes()
     assert cost.tobytes() == want_cost.tobytes()
+
+
+@pytest.mark.parametrize("cap", [_REFINE_MAX_ITER, 3])
+@pytest.mark.parametrize("accept", [None, 1e-7])
+@pytest.mark.parametrize("name", sorted(RECT_FIRST_CURVES))
+def test_refine_returns_the_band_distance_of_its_rows(name, accept, cap, monkeypatch):
+    # every stop reads sep, and the search takes its witnesses' separation
+    # from it: it must be that of the returned rows, bit for bit, also for
+    # the rows still live when the iteration cap ends the loop
+    monkeypatch.setattr("loopsurf.inscribed._REFINE_MAX_ITER", cap)
+    curve = RECT_FIRST_CURVES[name]()
+    seeds = np.random.default_rng(17).random((2000, 4))
+    theta, _, sep = _refine(curve, seeds, 0.02 * 1e-7, 1e-3, accept=accept)
+    assert sep.tobytes() == _row_separation(theta).tobytes()
 
 
 def test_refine_matches_32_point_jacobian_on_singular_rows():
@@ -305,7 +319,7 @@ def test_refine_matches_32_point_jacobian_on_singular_rows():
     m, d = np.meshgrid(np.arange(g) / g, 0.25 * (np.arange(g) + 1.0) / g, indexing="ij")
     t1, t2 = mod1(m - d).ravel(), mod1(m + d).ravel()
     seeds = next(_seed_blocks(t1, t2, _images(curve, t1, t2), cell, 4.0 / g))[32:64]
-    theta, cost = _refine(curve, seeds, 0.02 * tol, min_sep)
+    theta, cost, _ = _refine(curve, seeds, 0.02 * tol, min_sep)
     want_theta, want_cost = _refine_32_point(curve, seeds, 0.02 * tol, min_sep)
     assert theta.tobytes() == want_theta.tobytes()
     assert cost.tobytes() == want_cost.tobytes()
@@ -402,7 +416,7 @@ def _winning_batch(curve, g, tol, min_sep):
     for seeds in _seed_blocks(t1, t2, images, cell, max(min_sep, 4.0 / g)):
         while len(seeds):
             rows = seeds[:batch]
-            theta, cost = _refine(curve, rows, 0.02 * tol, min_sep)
+            theta, cost, _ = _refine(curve, rows, 0.02 * tol, min_sep)
             seeds, batch = seeds[batch:], min(2 * batch, _REFINE_BATCH_CAP)
             ok = np.flatnonzero((cost <= tol) & (_row_separation(mod1(theta)) >= min_sep))
             if ok.size:
@@ -424,7 +438,7 @@ CUT_CASES = [
 def test_refine_cut_off_keeps_rows_up_to_the_first_accepted(name, make, g):
     curve, tol, min_sep = make(), 1e-8, 1e-3
     seeds, want_theta, want_cost, k = _winning_batch(curve, g, tol, min_sep)
-    theta, cost = _refine(curve, seeds, 0.02 * tol, min_sep, accept=tol)
+    theta, cost, _ = _refine(curve, seeds, 0.02 * tol, min_sep, accept=tol)
     assert theta[:k + 1].tobytes() == want_theta[:k + 1].tobytes()
     assert cost[:k + 1].tobytes() == want_cost[:k + 1].tobytes()
     _assert_same_witness(_level_witness(curve, g, tol, min_sep), _make_witness(curve, theta[k]))
