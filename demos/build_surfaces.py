@@ -7,7 +7,7 @@ meshes over the glued unit square, prints the topological fingerprint of
 each (V, E, F, Euler characteristic, boundary loops, orientability), and
 writes OBJ files you can open in any mesh viewer.
 
-Usage: python demos/build_surfaces.py [resolution]
+Usage: python demos/build_surfaces.py [resolution]   (n >= 5, as the Mobius band needs)
 """
 import sys
 

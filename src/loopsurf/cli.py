@@ -152,9 +152,8 @@ def _build_parser():
 
     p = sub.add_parser("mesh", help="build a welded mesh, print its invariants")
     p.add_argument("scheme")
-    p.add_argument("--resolution", type=int, required=True)
-    p.add_argument("--out", default=None, help="write Wavefront OBJ here; a mobius band at "
-                   "resolution 3 or 4 re-parses as non-manifold (it needs its edge classes)")
+    p.add_argument("--resolution", type=int, required=True, help=">= 3; >= 5 for mobius")
+    p.add_argument("--out", default=None, help="write Wavefront OBJ here")
     p.add_argument("--R", type=float, default=2.0)
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--w", type=float, default=0.5)

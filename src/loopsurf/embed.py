@@ -51,23 +51,15 @@ class Mesh:
     """Welded triangle mesh in R^3. Meshes compare and hash by identity, as
     their array fields have no single truth value.
 
-    ``weld_map`` maps the original row-major grid index to the welded
-    vertex index (None for meshes not built from a grid).
-
-    ``edge_ids`` (grid meshes only) carries the exact quotient identity
-    of each triangle side: slot k of triangle f is the edge from vertex k
-    to vertex (k+1)%3, and edge_ids[f, k] is its equivalence class: the
-    class of the side's midpoint on the 2n grid, with the two surviving
-    sides of each collapsed sliver joined. Only on the Möbius band at n = 3
-    and 4 do distinct quotient edges join one pair of welded vertices, which
-    vertex pairs alone read as a non-manifold edge; invariants fall back to
-    vertex pairs when the field is absent (e.g. meshes re-parsed from OBJ).
+    An edge is an undirected pair of vertices that a triangle joins, so a
+    mesh is exactly what its OBJ file carries. ``weld_map`` maps the
+    original row-major grid index to the welded vertex index (None for
+    meshes not built from a grid).
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     weld_map: np.ndarray | None = None
-    edge_ids: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -153,10 +145,7 @@ def _class_keys(scheme, n, i, j):
 
     Two points of the n grid share a key iff their square coordinates are
     scheme-equivalent, which on the uniform grid is an exact integer
-    condition. The same rule on the 2n grid keys grid edges by their
-    midpoints: an edge's displacement is (1,0), (0,1) or (1,1), so the sum
-    of its corners fixes it, and the gluings move edges as they move
-    midpoints.
+    condition.
     """
     im, jm = i % n, j % n
     if scheme is Scheme.TORUS:
@@ -190,14 +179,22 @@ def build_mesh(scheme, n, cfg=EmbedConfig()):
     triangles per cell split along the x = y diagonal direction, and welds
     grid vertices whose square coordinates are scheme-equivalent -- an
     exact integer condition. Triangles that degenerate under welding
-    (collapsed-edge slivers) are dropped, with their two surviving sides
-    identified; faces duplicated by the unordered-pair fold are removed,
-    keeping the first copy in creation order. A grid edge's class is its
-    midpoint's class on the 2n grid (see Mesh.edge_ids).
+    (collapsed-edge slivers) are dropped: a sliver's two surviving sides
+    join one vertex pair, so they are one edge. Faces duplicated by the
+    unordered-pair fold are removed, keeping the first copy in creation
+    order.
+
+    Each quotient edge joins its own pair of welded vertices from n = 3 on
+    the torus and the pinched sphere, and from n = 5 on the Möbius band;
+    coarser grids join two quotient edges on one vertex pair, so they are
+    rejected.
     """
     if not isinstance(n, numbers.Integral) or n < 3:
         raise ValueError(f"grid resolution must be an integer >= 3, got {n}")
-    it = np.int32 if 6 * (n + 1) ** 2 < 2**31 else np.int64   # keys < 4 (n+1)^2, sides < 6 n^2
+    if scheme is Scheme.MOBIUS_UNORDERED and n < 5:
+        raise ValueError(f"a mobius band needs grid resolution >= 5, got {n}: "
+                         "coarser grids join two quotient edges on one vertex pair")
+    it = np.int32 if 6 * (n + 1) ** 2 < 2**31 else np.int64   # indices < 2 (n+1)^2, with room
     # grid flat index -> welded vertex -> representative grid index
     gi, gj = np.divmod(np.arange((n + 1) ** 2, dtype=it), n + 1)
     weld, rep = _first_seen_ids(_class_keys(scheme, n, gi, gj))
@@ -207,37 +204,16 @@ def build_mesh(scheme, n, cfg=EmbedConfig()):
     # corner offsets of the lower (c, c+di, c+di+dj) and upper (c, c+di+dj, c+dj)
     di, dj = np.array([[[0, 1, 1], [0, 1, 0]], [[0, 0, 1], [0, 1, 1]]], np.int8)
     ci, cj = np.divmod(np.arange(n * n, dtype=it)[:, None, None], n)
-    tris_all = weld[((ci + di) * (n + 1) + cj + dj).reshape(-1, 3)]
+    tris = weld[((ci + di) * (n + 1) + cj + dj).reshape(-1, 3)]
 
-    welded_side = tris_all == tris_all[:, [1, 2, 0]]    # slot k: corners k, k+1 welded
-    degenerate = welded_side.any(axis=1)
-    keep = ~degenerate
+    keep = (tris != tris[:, [1, 2, 0]]).all(axis=1)    # no two corners welded
     if scheme is Scheme.MOBIUS_UNORDERED:
         # the swap folds triangle 2*(ci*n+cj)+h onto 2*(cj*n+ci)+(1-h);
         # keep the first copy of each orbit in creation order
         keep &= (2 * (ci * n + cj) + [0, 1] <= 2 * (cj * n + ci) + [1, 0]).ravel()
 
-    # slot k joins corners k and (k+1)%3; its class is its midpoint's
-    ekey = _class_keys(scheme, 2 * n, (2 * ci + di + di[:, [1, 2, 0]]).reshape(-1, 3),
-                       (2 * cj + dj + dj[:, [1, 2, 0]]).reshape(-1, 3))
-
-    # a dropped sliver collapses to a segment: its two surviving sides are
-    # one and the same quotient edge. Slivers occur only in the pinched
-    # columns (upper triangles of cells i = 0, lower ones of i = n - 1).
-    # No key is in two slivers, so the second side's key simply maps onto
-    # the first's.
-    if degenerate.any():
-        k1, k2 = np.nonzero(~welded_side[degenerate])[1].reshape(-1, 2).T
-        remap = np.arange(ekey.max() + 1, dtype=ekey.dtype)
-        remap[ekey[degenerate, k2]] = ekey[degenerate, k1]
-        ekey = remap[ekey]
-
-    tris, ekey = tris_all[keep], ekey[keep]
-    del tris_all, welded_side, degenerate, keep
-
     # every vertex class is a corner of a kept triangle, so none is unused
-    return Mesh(vertices=verts, triangles=tris, weld_map=weld,
-                edge_ids=_first_seen_ids(ekey.ravel())[0].reshape(-1, 3))
+    return Mesh(vertices=verts, triangles=tris[keep], weld_map=weld)
 
 
 def _components(n, a, b):
@@ -273,10 +249,8 @@ def mesh_invariants(mesh):
     are their connected components. Edges with more than two incident
     triangles raise NonManifoldEdgeError.
 
-    Edge identity comes from the mesh's exact quotient classes when
-    present, otherwise from undirected welded-vertex pairs. Either way
-    both sides of an edge must join the same pair of vertices, and their
-    directions are compared by vertex order.
+    An edge is an undirected vertex pair, as in an OBJ file; its two sides
+    agree in direction when they leave the same vertex.
     """
     tris = np.asarray(mesh.triangles, dtype=np.int64)
     nv, nf = len(np.asarray(mesh.vertices)), len(tris)
@@ -289,12 +263,7 @@ def mesh_invariants(mesh):
     tail, head = tris.ravel(), tris[:, [1, 2, 0]].ravel()
     if np.any(tail == head):
         raise ValueError("degenerate triangle with repeated vertex")
-    if mesh.edge_ids is not None:
-        key = np.asarray(mesh.edge_ids, dtype=np.int64).ravel()
-        if key.shape != (3 * nf,) or key.min() < 0:
-            raise ValueError("edge classes do not match the triangle list")
-    else:
-        key = np.minimum(tail, head).astype(np.int64) * nv + np.maximum(tail, head)
+    key = np.minimum(tail, head).astype(np.int64) * nv + np.maximum(tail, head)
 
     # slots grouped by edge, in slot order within each edge: one stable
     # sort, with each edge's run of slots starting where the key changes
@@ -310,14 +279,11 @@ def mesh_invariants(mesh):
     paired = counts == 2
     s1, s2 = first[paired], by_edge[start[paired] + 1]
     del by_edge, start
-    t1, h1, t2, h2 = tail[s1], head[s1], tail[s2], head[s2]
     f1, f2 = 2 * (s1 // 3), 2 * (s2 // 3)    # the first sheet of each side's face
     # sides traversed the same way (from the same tail vertex): the two
     # faces agree only with one flipped
-    flip = t1 == t2
-    if not np.all(np.where(flip, h1 == h2, (t1 == h2) & (h1 == t2))):
-        raise ValueError("edge classes do not match the triangle list")
-    del s1, s2, t1, h1, t2, h2
+    flip = tail[s1] == tail[s2]
+    del s1, s2
 
     loops = 0
     b = first[counts == 1]

@@ -86,6 +86,8 @@ def test_criterion_2_mesh_theory_agreement():
     with _Budget("2 mesh/theory agreement", 30.0):
         for n in range(3, 65):
             for scheme, want in expected.items():
+                if scheme is M and n < 5:     # the least Möbius band build_mesh takes
+                    continue
                 inv = mesh_invariants(build_mesh(scheme, n))
                 got = (inv.euler_char, inv.boundary_loops, inv.orientable)
                 assert got == want, f"{scheme.value} n={n}: {got}"

@@ -94,6 +94,13 @@ def test_mesh_bad_resolution():
     assert ">= 3" in err
 
 
+def test_mesh_coarse_mobius_band_refused():
+    code, out, err = invoke("mesh", "mobius", "--resolution", "4")
+    assert (code, out) == (2, "")
+    assert err == ("error: a mobius band needs grid resolution >= 5, got 4: coarser grids "
+                   "join two quotient edges on one vertex pair\n")
+
+
 def test_encode_mobius():
     code, out, _ = invoke("encode", "mobius", "0.1", "0.2")
     assert code == 0

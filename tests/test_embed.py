@@ -1,7 +1,6 @@
 import io
 import itertools
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +29,7 @@ from loopsurf.pairspace import (
 
 T, P, M = Scheme.TORUS, Scheme.PINCHED_SPHERE, Scheme.MOBIUS_UNORDERED
 CFG = EmbedConfig()
+LEAST_N = {T: 3, P: 3, M: 5}    # the least grid resolution build_mesh takes
 
 
 # ---------------------------------------------------------------- point charts
@@ -165,6 +165,8 @@ def test_mobius_mesh_counts_n8():
 def test_mesh_theory_agreement(n):
     expected = {T: (0, 0, True), P: (1, 0, True), M: (0, 1, False)}
     for scheme, (chi, loops, orientable) in expected.items():
+        if n < LEAST_N[scheme]:
+            continue
         inv = mesh_invariants(build_mesh(scheme, n))
         assert inv.euler_char == chi
         assert inv.boundary_loops == loops
@@ -177,7 +179,7 @@ def test_mesh_resolution_precondition():
     for n in (5.0, 4.5, np.float64(5.0)):
         with pytest.raises(ValueError, match=f"^grid resolution must be an integer >= 3, got {n}$"):
             build_mesh(T, n)
-    assert np.array_equal(build_mesh(T, np.int64(5)).edge_ids, build_mesh(T, 5).edge_ids)
+    assert np.array_equal(build_mesh(T, np.int64(5)).triangles, build_mesh(T, 5).triangles)
 
 
 def test_weld_map_consistency():
@@ -193,11 +195,11 @@ def test_weld_map_consistency():
 
 
 @pytest.mark.parametrize("scheme", [T, P, M], ids=lambda s: s.value)
-def test_edge_ids_partition_sides_as_pairspace_glues_midpoints(scheme):
-    """Two kept sides share an edge class iff pairspace glues their grid
+def test_vertex_pairs_partition_sides_as_pairspace_glues_midpoints(scheme):
+    """Two kept sides join one vertex pair iff pairspace glues their grid
     midpoints. A side at the pinched pole is labelled by its far vertex
     instead: a collapsed sliver glues the two sides that meet there."""
-    for n in list(range(3, 17)) + [31, 37, 64]:
+    for n in list(range(LEAST_N[scheme], 17)) + [31, 37, 64]:
         mesh = build_mesh(scheme, n)
         # corners of the 2n^2 grid triangles in creation order: cell (ci, cj)
         # row-major, lower (c, c+di, c+di+dj), then upper (c, c+di+dj, c+dj)
@@ -219,7 +221,8 @@ def test_edge_ids_partition_sides_as_pairspace_glues_midpoints(scheme):
         far = mesh.weld_map[np.where(p_pole, qi * (n + 1) + qj, pi * (n + 1) + pj)]
         labels = np.stack([np.where(at_pole, -1.0, u), np.where(at_pole, far, v)], axis=1)
         label_ids = np.unique(labels, axis=0, return_inverse=True)[1].ravel()
-        ids = mesh.edge_ids.ravel()
+        ends = np.sort(np.stack([mesh.triangles, mesh.triangles[:, [1, 2, 0]]], axis=2), axis=2)
+        ids = np.unique(ends.reshape(-1, 2), axis=0, return_inverse=True)[1].ravel()
         pairs = np.unique(np.stack([label_ids, ids], axis=1), axis=0)
         assert len(pairs) == label_ids.max() + 1 == ids.max() + 1
         assert at_pole.any() == (scheme is P)
@@ -227,6 +230,8 @@ def test_edge_ids_partition_sides_as_pairspace_glues_midpoints(scheme):
 
 def test_mesh_vertices_all_referenced():
     for n, scheme in itertools.product(range(3, 13), (T, P, M)):
+        if n < LEAST_N[scheme]:
+            continue
         mesh = build_mesh(scheme, n)
         assert set(np.unique(mesh.triangles)) == set(range(len(mesh.vertices)))
 
@@ -239,11 +244,7 @@ def _orientable_by_exhaustion(mesh):
     nf = len(tris)
     sv = np.stack([tris[:, [0, 1, 2]].ravel(), tris[:, [1, 2, 0]].ravel()], axis=1)
     signs = np.where(sv[:, 0] < sv[:, 1], 1, -1)
-    if mesh.edge_ids is not None:
-        ids = np.asarray(mesh.edge_ids).ravel()
-    else:
-        _, ids = np.unique(np.sort(sv, axis=1), axis=0, return_inverse=True)
-        ids = ids.ravel()
+    ids = np.unique(np.sort(sv, axis=1), axis=0, return_inverse=True)[1].ravel()
     groups = {}
     for slot, e in enumerate(ids):
         groups.setdefault(int(e), []).append(slot)
@@ -257,7 +258,9 @@ def _orientable_by_exhaustion(mesh):
 
 
 def test_orientability_against_exhaustive_oracle():
-    for scheme in (T, P, M):
+    # the least Möbius band has 25 faces, 2**25 windings: its exhaustive
+    # check runs on face subsets below
+    for scheme in (T, P):
         mesh = build_mesh(scheme, 3)
         inv = mesh_invariants(mesh)
         assert inv.orientable == _orientable_by_exhaustion(mesh)
@@ -266,20 +269,24 @@ def test_orientability_against_exhaustive_oracle():
 def test_orientability_of_face_subsets_against_exhaustive_oracle():
     rng = np.random.default_rng(12)
     seen = set()
-    for scheme, n in itertools.product((T, P, M), (3, 4)):
+    for scheme, n in ((T, 3), (T, 4), (P, 3), (P, 4), (M, 5), (M, 6)):
         mesh = build_mesh(scheme, n)
         nf = len(mesh.triangles)
-        for _ in range(40):
-            faces = np.sort(rng.choice(nf, size=int(rng.integers(1, min(nf, 16) + 1)), replace=False))
-            for classes in (True, False):
-                sub = Mesh(vertices=mesh.vertices, triangles=mesh.triangles[faces],
-                           edge_ids=mesh.edge_ids[faces] if classes else None)
-                try:
-                    inv = mesh_invariants(sub)
-                except ValueError:          # open boundary pinched at a vertex
-                    continue
-                assert inv.orientable == _orientable_by_exhaustion(sub)
-                seen.add(inv.orientable)
+        subsets = [np.sort(rng.choice(nf, size=int(rng.integers(1, min(nf, 16) + 1)), replace=False))
+                   for _ in range(40)]
+        if (scheme, n) == (M, 5):
+            # the 15 faces with no corner on the boundary x = y: a Möbius
+            # strip about the core, which few random subsets hold
+            subsets.append(np.flatnonzero(
+                ~np.isin(mesh.triangles, mesh.weld_map[::n + 2]).any(axis=1)))
+        for faces in subsets:
+            sub = Mesh(vertices=mesh.vertices, triangles=mesh.triangles[faces])
+            try:
+                inv = mesh_invariants(sub)
+            except ValueError:          # open boundary pinched at a vertex
+                continue
+            assert inv.orientable == _orientable_by_exhaustion(sub)
+            seen.add(inv.orientable)
     assert seen == {True, False}
 
 
@@ -299,31 +306,15 @@ def test_bow_tie_boundary_reported():
         mesh_invariants(mesh)
 
 
-def test_edge_class_joining_two_vertex_pairs_rejected():
-    # swap the classes of two sides of one triangle: every class keeps two
-    # sides, but two classes now each join two different vertex pairs
-    mesh = build_mesh(T, 4)
-    ids = mesh.edge_ids.copy()
-    ids[0, [0, 1]] = ids[0, [1, 0]]
-    with pytest.raises(ValueError, match="^edge classes do not match the triangle list$"):
-        mesh_invariants(replace(mesh, edge_ids=ids))
-
-
 @pytest.mark.parametrize("scheme", [T, P, M], ids=lambda s: s.value)
 def test_invariants_ignore_edge_class_labels(scheme):
-    # E counts the distinct classes, whatever integers label them
+    # an edge is keyed by its vertex pair: renumbering the vertices relabels
+    # every edge and reorders the sides of each, and changes no invariant
     mesh = build_mesh(scheme, 8)
-    ids = mesh.edge_ids
-    perm = np.random.default_rng(5).permutation(ids.max() + 1)
-    want = mesh_invariants(mesh)
-    for labels in (2 * ids + 5, perm[ids]):
-        assert mesh_invariants(replace(mesh, edge_ids=labels)) == want
-
-
-def test_negative_edge_class_rejected():
-    mesh = build_mesh(T, 4)
-    with pytest.raises(ValueError, match="^edge classes do not match the triangle list$"):
-        mesh_invariants(replace(mesh, edge_ids=mesh.edge_ids - 1))
+    perm = np.random.default_rng(5).permutation(len(mesh.vertices))
+    renumbered = Mesh(vertices=mesh.vertices[np.argsort(perm)], triangles=perm[mesh.triangles])
+    assert np.array_equal(renumbered.vertices[renumbered.triangles], mesh.vertices[mesh.triangles])
+    assert mesh_invariants(renumbered) == mesh_invariants(mesh)
 
 
 def test_non_manifold_edge_reported():
@@ -335,21 +326,25 @@ def test_non_manifold_edge_reported():
 
 @pytest.mark.parametrize("scheme", [T, P, M], ids=lambda s: s.value)
 def test_vertex_pairs_suffice_except_on_the_coarsest_bands(scheme):
-    # only the Möbius band at n = 3 and 4 has two quotient edges on one pair
-    # of welded vertices, so only there does a mesh need its edge classes
-    for n in [*range(3, 21), 64]:
+    # an OBJ carries vertex pairs only, and they give every built mesh its
+    # invariants; the Möbius band at n = 3 and 4, where two quotient edges
+    # join one pair of welded vertices, is refused
+    for n in [*range(LEAST_N[scheme], 21), 64]:
         mesh = build_mesh(scheme, n)
-        bare = Mesh(mesh.vertices, mesh.triangles)
-        if scheme is M and n in (3, 4):
-            with pytest.raises(NonManifoldEdgeError):
-                mesh_invariants(bare)
-        else:
-            assert mesh_invariants(bare) == mesh_invariants(mesh)
+        sink = io.BytesIO()
+        export_obj(mesh, sink)
+        assert mesh_invariants(parse_obj(sink.getvalue())) == mesh_invariants(mesh)
+    if scheme is M:
+        for n in (3, 4):
+            with pytest.raises(ValueError, match=(
+                    f"^a mobius band needs grid resolution >= 5, got {n}: coarser grids "
+                    "join two quotient edges on one vertex pair$")):
+                build_mesh(M, n)
 
 
 def test_refinement_stability():
     for scheme, key in ((T, (0, 0, True)), (P, (1, 0, True)), (M, (0, 1, False))):
-        for n in (3, 9, 27):
+        for n in (3, 9, 27) if scheme is not M else (5, 15, 45):
             inv = mesh_invariants(build_mesh(scheme, n))
             assert (inv.euler_char, inv.boundary_loops, inv.orientable) == key
 
@@ -520,13 +515,15 @@ def _peak(fn, *args):
 
 
 def test_mesh_layers_peak_memory():
-    # n = 256 torus: 131,072 faces and a 6.3 MB OBJ. Each bound is half the
-    # peak of the whole-array layers these replaced (41.1, 49.3, 23.2, 60.9
-    # and 59.8 MiB); the block-wise layers measured 16.9, 13.8, 9.2, 15.9
-    # and 13.8 MiB. Parsing bytes measured 15.9 MiB while it decoded the
-    # whole source first, and 9.6 MiB (as much as from str) decoding blocks.
+    # n = 256 torus: 131,072 faces and a 6.3 MB OBJ. Each bound but the
+    # first is half the peak of the whole-array layers these replaced (49.3,
+    # 23.2, 60.9 and 59.8 MiB); the block-wise layers measured 13.8, 9.2,
+    # 15.9 and 13.8 MiB. Parsing bytes measured 15.9 MiB while it decoded
+    # the whole source first, and 9.6 MiB (as much as from str) decoding
+    # blocks. build_mesh, with no edge keys of its own, measured 10.4 MiB;
+    # its bound is 1.25 times that.
     mesh, build_peak = _peak(build_mesh, T, 256)
-    assert build_peak <= 20.5 * MIB
+    assert build_peak <= 13.0 * MIB
     want, inv_peak = _peak(mesh_invariants, mesh)
     assert inv_peak <= 24.6 * MIB
 
@@ -553,16 +550,6 @@ def test_parse_with_an_unconvertible_face_index_converts_by_block():
     assert parse_peak <= 12.0 * MIB
     assert back.triangles[-1].tolist() == [2**63 - 1, 0, 1]
     assert len(back.triangles) == 2 * 256 * 256 + 1
-
-
-def test_sparse_edge_class_labels_cost_no_memory():
-    # labels need not be dense: E counts the distinct ones, and the work
-    # does not grow with the largest label
-    mesh = build_mesh(T, 64)
-    want, dense_peak = _peak(mesh_invariants, mesh)
-    got, sparse_peak = _peak(mesh_invariants, replace(mesh, edge_ids=mesh.edge_ids << 40))
-    assert got == want
-    assert sparse_peak <= 1.1 * dense_peak
 
 
 # ------------------------------------------------------ indices beyond int32
@@ -600,8 +587,8 @@ def _class_key_reference(scheme, n, i, j):
 @pytest.mark.parametrize("n,dtype", [(40_000, np.int64), (18_917, np.int32)])
 def test_class_keys_exact_at_large_resolution(scheme, n, dtype):
     # build_mesh takes int32 indices while 6 (n+1)^2 < 2**31, that is up to
-    # n = 18,917; its 2n-grid keys reach 4 n^2, which leaves int32 at
-    # n = 40,000
+    # n = 18,917; the keys stay exact on the n grid and on the 2n grid,
+    # whose keys reach 4 n^2 and leave int32 at n = 40,000
     rng = np.random.default_rng(n)
     for m in (n, 2 * n):
         edge = [0, 1, 2, m // 2, m - 2, m - 1, m]

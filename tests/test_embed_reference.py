@@ -4,12 +4,13 @@ The reference is the mesh code as first written: vertices from a chart
 block per scheme, sliver welding through a signed union-find, orientability
 by propagating a winding face by face, and boundary loops traced edge by
 edge. The array code keeps every output, so meshes, invariants and error
-messages must match the reference exactly. Both count E as the number of
-distinct edge-class labels.
+messages must match the reference exactly.
 
-The reference directs each side of a grid mesh by its grid displacement;
-the array code directs it by vertex order. Within an edge class the two
-signs must differ by one common factor, so both decide orientability alike.
+The reference identifies the sides of a grid mesh by their grid edge
+orbits and directs each by its grid displacement; the array code
+identifies and directs them by vertex pairs. The two must partition the
+sides alike, and within an edge the two signs must differ by one common
+factor, so both decide orientability alike.
 """
 import io
 
@@ -31,7 +32,10 @@ from loopsurf.embed import (
 )
 from loopsurf.pairspace import Scheme, mobius_chart
 
-SIZES = list(range(3, 21)) + [64]
+
+def _sizes(scheme):
+    """Every resolution build_mesh takes up to 20, and 64."""
+    return [*range(5 if scheme is Scheme.MOBIUS_UNORDERED else 3, 21), 64]
 
 
 # The first grid-welding rules, kept as test-only references: vertices by
@@ -268,9 +272,10 @@ def _windings_consistent(nf, flat_ids, flat_signs):
     return True
 
 
-def _invariants_reference(mesh, signs=None):
-    """Invariants of a mesh, with the given signs directing the sides of
-    its edge classes."""
+def _invariants_reference(mesh, ids=None, signs=None):
+    """Invariants of a mesh whose sides fall into the edge classes ``ids``,
+    directed by ``signs``; by default, the vertex pairs that the sides join,
+    directed by vertex order."""
     verts = np.asarray(mesh.vertices)
     tris = np.asarray(mesh.triangles, dtype=np.int64)
     nv = len(verts)
@@ -285,13 +290,11 @@ def _invariants_reference(mesh, signs=None):
         return MeshInvariants(nv, 0, 0, nv, 0, True)
 
     slot_verts = np.stack([tris[:, [0, 1, 2]].ravel(), tris[:, [1, 2, 0]].ravel()], axis=1)
-    if mesh.edge_ids is not None:
-        flat_ids = np.asarray(mesh.edge_ids, dtype=np.int64).ravel()
+    if ids is not None:
+        flat_ids = np.asarray(ids, dtype=np.int64).ravel()
         flat_signs = np.asarray(signs, dtype=np.int64).ravel()
-        if flat_ids.shape != (3 * nf,) or flat_signs.shape != (3 * nf,):
-            raise ValueError("edge classes do not match the triangle list")
         counts = np.bincount(flat_ids)
-        ne = int(np.count_nonzero(counts))     # labels of a face subset are sparse
+        ne = len(counts)
     else:
         pairs = np.sort(slot_verts, axis=1)
         _, flat_ids, counts = np.unique(pairs, axis=0, return_inverse=True, return_counts=True)
@@ -321,17 +324,21 @@ def _outcome(fn, *args):
     return inv, tuple(type(x) for x in vars(inv).values())
 
 
-def _assert_same_invariants(mesh, signs=None):
-    assert _outcome(mesh_invariants, mesh) == _outcome(_invariants_reference, mesh, signs)
+def _assert_same_invariants(mesh, ids=None, signs=None):
+    assert _outcome(mesh_invariants, mesh) == _outcome(_invariants_reference, mesh, ids, signs)
 
 
 @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
 def test_mesh_matches_union_find_welding(scheme):
-    for n in SIZES:
+    for n in _sizes(scheme):
         mesh = build_mesh(scheme, n)
         tris, weld, ids, grid_signs = _mesh_reference(scheme, n)
-        for a, b in zip((mesh.triangles, mesh.weld_map, mesh.edge_ids), (tris, weld, ids)):
+        for a, b in zip((mesh.triangles, mesh.weld_map), (tris, weld)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+        # the vertex pairs, numbered in order of first side, are the reference's edge ids
+        pairs = np.sort(np.stack([tris, tris[:, [1, 2, 0]]], axis=2), axis=2).reshape(-1, 2)
+        _, first, inverse = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+        assert np.array_equal(np.argsort(np.argsort(first))[inverse.ravel()], ids.ravel())
         order_signs = np.where(tris < tris[:, [1, 2, 0]], 1, -1)
         product = (grid_signs * order_signs).ravel()
         per_class = np.zeros(ids.max() + 1, dtype=product.dtype)
@@ -341,7 +348,7 @@ def test_mesh_matches_union_find_welding(scheme):
 
 @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
 def test_mesh_vertices_match_chart_block(scheme):
-    for n in SIZES:
+    for n in _sizes(scheme):
         got, want = build_mesh(scheme, n).vertices, _vertices_reference(scheme, n)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -349,9 +356,9 @@ def test_mesh_vertices_match_chart_block(scheme):
 
 @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
 def test_invariants_match_reference_on_built_and_parsed_meshes(scheme):
-    for n in SIZES:
+    for n in _sizes(scheme):
         mesh = build_mesh(scheme, n)
-        _assert_same_invariants(mesh, _mesh_reference(scheme, n)[3])
+        _assert_same_invariants(mesh, *_mesh_reference(scheme, n)[2:])
         sink = io.BytesIO()
         export_obj(mesh, sink)
         _assert_same_invariants(parse_obj(sink.getvalue()))
@@ -361,9 +368,8 @@ def test_invariants_match_reference_on_built_and_parsed_meshes(scheme):
 def test_invariants_match_reference_on_face_subsets(scheme):
     rng = np.random.default_rng(31)
     outcomes = set()
-    for n in SIZES:
+    for n in _sizes(scheme):
         mesh = build_mesh(scheme, n)
-        signs = _mesh_reference(scheme, n)[3]
         nf = len(mesh.triangles)
         for _ in range(4):
             # contiguous runs of faces keep some subsets free of bow-tie boundaries
@@ -371,9 +377,7 @@ def test_invariants_match_reference_on_face_subsets(scheme):
             faces = np.arange(lo, min(nf, lo + int(rng.integers(1, nf + 1))))
             if rng.random() < 0.5:
                 faces = np.sort(rng.choice(nf, size=int(rng.integers(1, nf + 1)), replace=False))
-            for classes in (True, False):
-                sub = Mesh(vertices=mesh.vertices, triangles=mesh.triangles[faces],
-                           edge_ids=mesh.edge_ids[faces] if classes else None)
-                _assert_same_invariants(sub, signs[faces] if classes else None)
-                outcomes.add(_outcome(mesh_invariants, sub)[0] is ValueError)
+            sub = Mesh(vertices=mesh.vertices, triangles=mesh.triangles[faces])
+            _assert_same_invariants(sub)
+            outcomes.add(_outcome(mesh_invariants, sub)[0] is ValueError)
     assert outcomes == {True, False}
