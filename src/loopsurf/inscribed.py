@@ -19,7 +19,7 @@ from .pairspace import Scheme, quotient_distance
 
 _REFINE_MAX_ITER = 200
 _REFINE_FD_STEP = 1e-7
-# ordered work blocks start small (an early find stays cheap) and double to a cap
+# look-ups by blocks cut at a pair budget; refine batches double from small (early finds stay cheap)
 _SAMPLE_BLOCK = 1024
 _PAIR_BUDGET = 1 << 18
 _REFINE_BATCH = 32
@@ -184,15 +184,14 @@ def _refine(curve, theta0, target, min_separation, accept=None):
     return theta, cost, sep
 
 
-def _seed_blocks(t1, t2, images, cell, seed_gate):
-    """Collision seeds (t1[j], t2[j], t1[i], t2[i]) in (i, j) order, by blocks
-    of samples i, each twice the last but cut at _PAIR_BUDGET pairs: pairs j
-    < i in neighbouring image cells, image distance <= cell, separation >=
-    seed_gate. Seeds alone: a best residual is a refined seed's cost (None if
-    none stays apart), never a raw image distance.
+def _seeds(t1, t2, images, cell, seed_gate):
+    """Collision seeds (j, i), sample-index arrays sorted by (image distance,
+    i, j): pairs j < i in neighbouring image cells, image distance <= cell,
+    separation >= seed_gate. Seeds alone: a best residual is a refined seed's
+    cost (None if none stays apart), never a raw image distance.
 
-    Only the pairs within cell are separated and sorted; their keys i * n +
-    j are unique, so the order is that of sorting all pairs first."""
+    Samples are looked up in blocks cut at _PAIR_BUDGET pairs, each sized by
+    the last one's pairs per sample; blocks bound temporaries, not the order."""
     n = len(images)
     keys = np.floor(images / cell).astype(np.int64)
     keys -= keys.min(axis=0) - 1               # >= 1: neighbour cells stay >= 0
@@ -204,23 +203,29 @@ def _seed_blocks(t1, t2, images, cell, seed_gate):
     # each axis spans under grid_n / 2 cells, so code * n fits int64
     order = np.argsort(code, kind="stable")
     packed = code[order] * n + order
+    pair_codes, dists = [], []
     start, size = 0, _SAMPLE_BLOCK
     while start < n:
         i = np.arange(start, min(start + size, n))
         first = (code[i][:, None] + shifts) * n
         lo = np.searchsorted(packed, first)
         counts = np.searchsorted(packed, first + i[:, None]) - lo
-        cut = max(1, np.searchsorted(np.cumsum(counts.sum(axis=1)), _PAIR_BUDGET, side="right"))
+        pairs = np.cumsum(counts.sum(axis=1))
+        cut = max(1, np.searchsorted(pairs, _PAIR_BUDGET, side="right"))
         i, lo, counts = i[:cut], lo[:cut].ravel(), counts[:cut].ravel()
-        start, size = i[-1] + 1, 2 * cut
+        start, size = i[-1] + 1, min(2 * cut, max(1, _PAIR_BUDGET * cut // max(pairs[cut - 1], 1)))
         ends = np.cumsum(counts)
         j = order[np.repeat(lo - ends + counts, counts) + np.arange(ends[-1])]
         ii = np.repeat(np.repeat(i, len(shifts)), counts)
-        near = np.flatnonzero(_lengths(images[j] - images[ii]) <= cell)
-        near = near[np.argsort(ii[near] * n + j[near])]
-        j, ii = j[near], ii[near]
+        dist = _lengths(images[j] - images[ii])
+        near = np.flatnonzero(dist <= cell)
+        j, ii, dist = j[near], ii[near], dist[near]
         keep = _pair_separation((t1[j], t2[j]), (t1[ii], t2[ii])) >= seed_gate
-        yield np.stack([t1[j], t2[j], t1[ii], t2[ii]], axis=1)[keep]
+        pair_codes.append(ii[keep] * n + j[keep])
+        dists.append(dist[keep])
+    pair_codes, dists = np.concatenate(pair_codes), np.concatenate(dists)   # the whole level
+    pair_codes = pair_codes[np.lexsort((pair_codes, dists))]
+    return pair_codes % n, pair_codes // n
 
 
 def _make_witness(curve, theta):
@@ -250,7 +255,9 @@ def _check_tol(tol):
 def _search_level(curve, t1, t2, images, grid_n, tol, min_separation, aspect):
     """find_rectangle on the grid_n x grid_n samples (t1, t2) with their
     images alone: the witness (or None) and the least final cost of a
-    refined row whose pairs stayed min_separation apart (inf if none did)."""
+    refined row whose pairs stayed min_separation apart (inf if none did).
+    Seeds are refined in doubling batches, nearest first: by image distance,
+    ties by sample index; blocks do not change the order."""
     # rotation-invariant length scale so candidate generation (a pure
     # image-distance criterion) commutes with rigid motions of the curve
     cell = 4.0 * (curve.total_length / np.pi) / grid_n
@@ -260,22 +267,23 @@ def _search_level(curve, t1, t2, images, grid_n, tol, min_separation, aspect):
     best_witness, best_ratio_gap = None, np.inf
     batch = _REFINE_BATCH
 
-    for seeds in _seed_blocks(t1, t2, images, cell, seed_gate):
-        while len(seeds):
-            thetas, costs, seps = _refine(curve, seeds[:batch], target, min_separation,
-                                          tol if aspect is None else None)
-            seeds, batch = seeds[batch:], min(2 * batch, _REFINE_BATCH_CAP)
-            apart = seps >= min_separation
-            best = min(best, float(np.min(costs[apart], initial=np.inf)))
-            for theta in thetas[apart & (costs <= tol)]:
-                witness = _make_witness(curve, theta)
-                if aspect is None:
-                    return witness, best
-                ratio = _aspect_ratio(witness)
-                if ratio > 0.0 and max(ratio / aspect, aspect / ratio) <= 1.5:
-                    return witness, best
-                if abs(ratio - aspect) < best_ratio_gap:
-                    best_witness, best_ratio_gap = witness, abs(ratio - aspect)
+    j, i = _seeds(t1, t2, images, cell, seed_gate)
+    while len(j):
+        seeds = np.stack([t1[j[:batch]], t2[j[:batch]], t1[i[:batch]], t2[i[:batch]]], axis=1)
+        thetas, costs, seps = _refine(curve, seeds, target, min_separation,
+                                      tol if aspect is None else None)
+        j, i, batch = j[batch:], i[batch:], min(2 * batch, _REFINE_BATCH_CAP)
+        apart = seps >= min_separation
+        best = min(best, float(np.min(costs[apart], initial=np.inf)))
+        for theta in thetas[apart & (costs <= tol)]:
+            witness = _make_witness(curve, theta)
+            if aspect is None:
+                return witness, best
+            ratio = _aspect_ratio(witness)
+            if ratio > 0.0 and max(ratio / aspect, aspect / ratio) <= 1.5:
+                return witness, best
+            if abs(ratio - aspect) < best_ratio_gap:
+                best_witness, best_ratio_gap = witness, abs(ratio - aspect)
     return best_witness, best
 
 
@@ -286,7 +294,8 @@ def find_rectangle(curve, grid_n=64, tol=1e-7, min_separation=1e-3, aspect=None)
     16, 32, 64, ... and last grid_n itself, and returns the first witness of
     the coarsest grid that has one. A grid seeds a refinement at every pair
     of samples whose chord images share a neighbourhood. Seeds are refined
-    in ordered batches, and the first in grid order whose combined residual
+    in batches, nearest first: by image distance, ties by sample index;
+    blocks do not change the order. The first whose combined residual
     ||(mid difference, diagonal-length difference)|| drops to ``tol``, with
     its pairs still ``min_separation`` apart on the band, wins; else
     NotFound carries the least final cost of a refined seed that stayed

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from loopsurf.curves import load_polyline, make_preset, mod1
+from loopsurf import inscribed
 from loopsurf.inscribed import (
     NotFound,
     RectangleWitness,
     _images,
     _search_level,
+    _seeds,
     find_rectangle,
     verify_rectangle,
 )
@@ -245,6 +247,95 @@ def test_rigid_motion_equivariance_on_every_level(grid_n):
 
     _assert_rigid_motion_equivariance(level)
     _assert_rigid_motion_equivariance(lambda c: find_rectangle(c, grid_n=grid_n, tol=1e-7))
+
+
+# ------------------------------------------------------ seed order and blocks
+
+L_HEXAGON = [(0.0, 0.0), (3.0, 0.0), (3.0, 1.0), (1.0, 1.0), (1.0, 3.0), (0.0, 3.0)]
+# an asymmetric polyline on which the search in sample order took 0.23 s
+STAR7 = [(0.255, 0.3), (-0.564, 0.34), (-0.814, 0.393), (-0.42, 0.002), (-0.303, -0.054),
+         (-0.258, -0.233), (0.372, -0.498)]
+
+
+def _outcome(res):
+    return res.pairs if isinstance(res, RectangleWitness) else res.best_residual
+
+
+@pytest.mark.parametrize("grid_n,tol,min_sep", [(64, 1e-9, 0.05), (32, 1e-12, 0.45)])
+def test_sample_blocks_do_not_change_the_search(grid_n, tol, min_sep, monkeypatch):
+    # blocks bound the look-up temporaries only: one sort orders a level's seeds;
+    # at min_sep 0.45 ellipse 10:1 reports a separated miss, the others None
+    curves = [make_preset("ellipse", [2.0, 1.0]), load_polyline([(0, 0), (4, 0), (1, 3)]),
+              load_polyline(L_HEXAGON), make_preset("circle", [1.0]),
+              make_preset("ellipse", [10.0, 1.0])]
+    want = [_outcome(find_rectangle(c, grid_n, tol, min_sep)) for c in curves]
+    if min_sep == 0.45:
+        assert want == [None, None, None, None, 0.9949748425680712]
+    for block, budget in ((1, 50), (7, 1000), (64, 5000)):
+        monkeypatch.setattr(inscribed, "_SAMPLE_BLOCK", block)
+        monkeypatch.setattr(inscribed, "_PAIR_BUDGET", budget)
+        assert [_outcome(find_rectangle(c, grid_n, tol, min_sep)) for c in curves] == want
+
+
+def _census_curves():
+    rng = np.random.default_rng(11)
+    stars = []
+    for _ in range(12):
+        k = rng.integers(7, 14)
+        angle, radius = np.sort(rng.uniform(0.0, 2.0 * np.pi, k)), rng.uniform(0.3, 1.0, k)
+        stars.append(load_polyline(np.stack([radius * np.cos(angle),
+                                             radius * np.sin(angle)], axis=1)))
+    t = 2.0 * np.pi * np.arange(400) / 400
+    eggs = [load_polyline(np.stack([a * np.cos(t), b * np.sin(t) * (1.0 + e * np.cos(t))], axis=1))
+            for a, b, e in ((1.0, 0.7, 0.2), (1.0, 0.8, 0.3), (1.5, 1.0, 0.25), (1.0, 0.6, 0.15))]
+    presets = [("ellipse", [r, 1.0]) for r in (2.0, 10.0, 20.0, 100.0)] + [
+        ("superellipse", p) for p in ([1.0, 1.0, 0.5], [1.0, 1.0, 6.0], [2.0, 1.0, 4.0])] + [
+        ("circle", [1.0])]
+    polygons = [load_polyline(v) for v in ([(0, 0), (4, 0), (1, 3)], L_HEXAGON, STAR7)]
+    return stars + eggs + [make_preset(kind, p) for kind, p in presets] + polygons
+
+
+def test_census_witnesses_pass_verification():
+    # 27 curves, 12 of them random stars, at grids 32 and 64
+    for curve in _census_curves():
+        for grid_n in (32, 64):
+            w = find_rectangle(curve, grid_n=grid_n, tol=1e-7)
+            assert isinstance(w, RectangleWitness)
+            assert verify_rectangle(curve, w, tol=1e-6).passes
+
+
+@pytest.mark.parametrize("curve", [make_preset("ellipse", [100.0, 1.0]), load_polyline(STAR7)],
+                         ids=["ellipse-100x1", "star7"])
+def test_nearest_seeds_find_the_witness_in_one_refine_call(curve, monkeypatch):
+    # in sample order both refined their g16 level for 0.2-0.6 s
+    calls = []
+    refine = inscribed._refine
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return refine(*args, **kwargs)
+
+    monkeypatch.setattr(inscribed, "_refine", counted)
+    assert isinstance(find_rectangle(curve, grid_n=64, tol=1e-7), RectangleWitness)
+    assert calls == [inscribed._REFINE_BATCH]
+
+
+def test_seeds_peak_memory():
+    # a level's seeds are held at once: 16 bytes each (pair code and distance),
+    # 1,661,184 seeds for the circle at grid 256
+    g = 256
+    c = make_preset("circle", [1.0])
+    m, d = np.meshgrid(np.arange(g) / g, 0.25 * (np.arange(g) + 1.0) / g, indexing="ij")
+    t1, t2 = mod1(m - d).ravel(), mod1(m + d).ravel()
+    images = _images(c, t1, t2)
+    tracemalloc.start()
+    try:
+        j, _ = _seeds(t1, t2, images, 4.0 * (c.total_length / np.pi) / g, 4.0 / g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(j) == 1_661_184
+    assert peak <= 64 << 20
 
 
 # ----------------------------------------------------------- verify_rectangle

@@ -2,13 +2,13 @@
 
 The reference is the search as first written: a dict of image cells probed
 sample by sample in grid order, and one damped least-squares solve per seed.
-The batched search keeps its seeds, seed order, solver arithmetic and
-acceptance rule, so one level of it must return the same witness as the
-reference on that grid bit for bit. find_rectangle searches the levels 16,
-32, 64, ... up to grid_n, so it must return the reference witness of the
-coarsest level that has one.
+It gathers every seed of the dict first and refines them nearest first: by
+image distance, ties by sample index (i, j). The batched search keeps its
+seeds, seed order, solver arithmetic and acceptance rule, so one level of it
+must return the same witness as the reference on that grid bit for bit.
+find_rectangle searches the levels 16, 32, 64, ... up to grid_n, so it must
+return the reference witness of the coarsest level that has one.
 """
-import itertools
 
 import numpy as np
 import pytest
@@ -26,11 +26,11 @@ from loopsurf.inscribed import (
     _residual_many as _residual_rows,
     _row_separation,
     _search_level,
-    _seed_blocks,
+    _seeds,
     _solve,
     find_rectangle,
 )
-from loopsurf.inscribed import _PAIR_BUDGET, _REFINE_BATCH, _REFINE_BATCH_CAP, _SAMPLE_BLOCK
+from loopsurf.inscribed import _REFINE_BATCH, _REFINE_BATCH_CAP
 
 _REFINE_MAX_ITER = 200
 _REFINE_FD_STEP = 1e-7
@@ -102,6 +102,7 @@ def find_rectangle_reference(curve, grid_n=64, tol=1e-7, min_separation=1e-3, as
     seed_gate = max(min_separation, 4.0 / grid_n)
     best_witness = None
     best_ratio_gap = np.inf
+    seeds = []                  # (image distance, i, j) of every seed
     for idx in range(len(images)):
         kx, ky, kz = (int(keys[idx, 0]), int(keys[idx, 1]), int(keys[idx, 2]))
         candidates = []
@@ -110,27 +111,30 @@ def find_rectangle_reference(curve, grid_n=64, tol=1e-7, min_separation=1e-3, as
                 for oz in (-1, 0, 1):
                     candidates.extend(grid_hash.get((kx + ox, ky + oy, kz + oz), ()))
         if candidates:
-            candidates = np.sort(np.asarray(candidates, dtype=np.int64))
+            candidates = np.asarray(candidates, dtype=np.int64)
             sep = _pair_separation((t1[candidates], t2[candidates]), (t1[idx], t2[idx]))
             raw = np.linalg.norm(images[candidates] - images[idx], axis=1)
-            for j in candidates[(sep >= seed_gate) & (raw <= capture)]:
-                theta0 = np.array([t1[j], t2[j], t1[idx], t2[idx]])
-                theta, cost = _refine_scalar(curve, theta0, target, min_separation)
-                ta = mod1(theta[:2])
-                tb = mod1(theta[2:])
-                if _pair_separation((ta[0], ta[1]), (tb[0], tb[1])) < min_separation:
-                    continue        # collapsed onto one chord: neither witness nor miss
-                best = min(best, cost)
-                if cost <= tol:
-                    witness = _make_witness(curve, theta)
-                    if aspect is None:
-                        return witness
-                    ratio = _aspect_ratio(witness)
-                    if ratio > 0.0 and max(ratio / aspect, aspect / ratio) <= 1.5:
-                        return witness
-                    if abs(ratio - aspect) < best_ratio_gap:
-                        best_witness, best_ratio_gap = witness, abs(ratio - aspect)
+            seed = (sep >= seed_gate) & (raw <= capture)
+            seeds.extend(zip(raw[seed].tolist(), [idx] * int(seed.sum()),
+                             candidates[seed].tolist()))
         grid_hash.setdefault((kx, ky, kz), []).append(idx)
+    for _, idx, j in sorted(seeds):
+        theta0 = np.array([t1[j], t2[j], t1[idx], t2[idx]])
+        theta, cost = _refine_scalar(curve, theta0, target, min_separation)
+        ta = mod1(theta[:2])
+        tb = mod1(theta[2:])
+        if _pair_separation((ta[0], ta[1]), (tb[0], tb[1])) < min_separation:
+            continue        # collapsed onto one chord: neither witness nor miss
+        best = min(best, cost)
+        if cost <= tol:
+            witness = _make_witness(curve, theta)
+            if aspect is None:
+                return witness
+            ratio = _aspect_ratio(witness)
+            if ratio > 0.0 and max(ratio / aspect, aspect / ratio) <= 1.5:
+                return witness
+            if abs(ratio - aspect) < best_ratio_gap:
+                best_witness, best_ratio_gap = witness, abs(ratio - aspect)
     if best_witness is not None:
         return best_witness
     return NotFound(best_residual=float(best) if np.isfinite(best) else None)
@@ -222,15 +226,25 @@ def test_batched_search_returns_reference_best_residual(make, kwargs):
         assert got == find_rectangle_reference(curve, **kwargs)
 
 
+def _seed_rows(t1, t2, j, i):
+    """Seed rows (t1[j], t2[j], t1[i], t2[i]) of sample-index arrays j, i."""
+    return np.stack([t1[j], t2[j], t1[i], t2[i]], axis=1)
+
+
+def _grid_order_seeds(curve, g):
+    """The seed rows of grid g in sample order (i, j), as first refined."""
+    t1, t2, images, cell = _search_grid(curve, g)
+    j, i = _seeds(t1, t2, images, cell, 4.0 / g)
+    by_index = np.lexsort((j, i))
+    return _seed_rows(t1, t2, j[by_index], i[by_index])
+
+
 def test_batched_refine_matches_scalar_refine_per_seed():
-    # seeds 32..63 of ellipse 20:1 at grid 32, one batch; the 4 x 4 damped
-    # normal matrix of seeds 38, 51, 53 and 54 turned singular at some step
+    # seeds 32..63 in sample order of ellipse 20:1 at grid 32, one batch; the
+    # 4 x 4 damped normal matrix of seeds 38, 51, 53 and 54 turned singular
     curve = make_preset("ellipse", [20.0, 1.0])
     g, tol, min_sep = 32, 1e-8, 1e-3
-    cell = 4.0 * (curve.total_length / np.pi) / g
-    m, d = np.meshgrid(np.arange(g) / g, 0.25 * (np.arange(g) + 1.0) / g, indexing="ij")
-    t1, t2 = mod1(m - d).ravel(), mod1(m + d).ravel()
-    seeds = next(_seed_blocks(t1, t2, _images(curve, t1, t2), cell, 4.0 / g))[32:64]
+    seeds = _grid_order_seeds(curve, g)[32:64]
     thetas, costs, _ = _refine(curve, seeds, 0.02 * tol, min_sep)
     for seed, theta, cost in zip(seeds, thetas, costs):
         want_theta, want_cost = _refine_scalar(curve, seed, 0.02 * tol, min_sep)
@@ -315,10 +329,7 @@ def test_refine_matches_32_point_jacobian_on_singular_rows():
     # the batch of test_batched_refine_matches_scalar_refine_per_seed
     curve = make_preset("ellipse", [20.0, 1.0])
     g, tol, min_sep = 32, 1e-8, 1e-3
-    cell = 4.0 * (curve.total_length / np.pi) / g
-    m, d = np.meshgrid(np.arange(g) / g, 0.25 * (np.arange(g) + 1.0) / g, indexing="ij")
-    t1, t2 = mod1(m - d).ravel(), mod1(m + d).ravel()
-    seeds = next(_seed_blocks(t1, t2, _images(curve, t1, t2), cell, 4.0 / g))[32:64]
+    seeds = _grid_order_seeds(curve, g)[32:64]
     theta, cost, _ = _refine(curve, seeds, 0.02 * tol, min_sep)
     want_theta, want_cost = _refine_32_point(curve, seeds, 0.02 * tol, min_sep)
     assert theta.tobytes() == want_theta.tobytes()
@@ -336,42 +347,14 @@ def test_stacked_solve_isolates_a_singular_matrix():
         assert out[k].tobytes() == np.linalg.solve(lhs[k], rhs[k, :, 0]).tobytes()
 
 
-def _pair_blocks_sort_first(t1, t2, images, cell):
-    """The candidate pairs of the seed blocks as first batched: every pair
-    of a block is sorted into (i, j) order and separated, filtered after."""
-    n = len(images)
-    keys = np.floor(images / cell).astype(np.int64)
-    keys -= keys.min(axis=0) - 1
-    dims = keys.max(axis=0) + 2
-    radix = np.array([dims[1] * dims[2], dims[2], 1])
-    code = keys @ radix
-    shifts = (np.indices((3, 3, 3)).reshape(3, -1).T - 1) @ radix
-    order = np.argsort(code, kind="stable")
-    packed = code[order] * n + order
-    start, size = 0, _SAMPLE_BLOCK
-    while start < n:
-        i = np.arange(start, min(start + size, n))
-        first = (code[i][:, None] + shifts) * n
-        lo = np.searchsorted(packed, first)
-        counts = np.searchsorted(packed, first + i[:, None]) - lo
-        cut = max(1, np.searchsorted(np.cumsum(counts.sum(axis=1)), _PAIR_BUDGET, side="right"))
-        i, lo, counts = i[:cut], lo[:cut].ravel(), counts[:cut].ravel()
-        start, size = i[-1] + 1, 2 * cut
-        ends = np.cumsum(counts)
-        j = order[np.repeat(lo - ends + counts, counts) + np.arange(ends[-1])]
-        ii = np.repeat(np.repeat(i, len(shifts)), counts)
-        by_pair = np.argsort(ii * n + j)
-        j, ii = j[by_pair], ii[by_pair]
-        sep = _pair_separation((t1[j], t2[j]), (t1[ii], t2[ii]))
-        raw = np.linalg.norm(images[j] - images[ii], axis=1)
-        yield j, ii, sep, raw
-
-
-def _seeds_sort_first(t1, t2, block, capture, seed_gate):
-    j, ii, sep, raw = block
-    seed = (sep >= seed_gate) & (raw <= capture)
-    j, ii = j[seed], ii[seed]
-    return np.stack([t1[j], t2[j], t1[ii], t2[ii]], axis=1)
+def _pairs_sort_first(t1, t2, images):
+    """Every pair j < i of the grid from a full distance matrix, sorted by
+    (image distance, i, j) before any filter: j, i, distance, separation."""
+    i, j = np.tril_indices(len(images), -1)
+    dist = np.linalg.norm(images[i] - images[j], axis=1)
+    order = np.lexsort((j, i, dist))
+    i, j, dist = i[order], j[order], dist[order]
+    return j, i, dist, _pair_separation((t1[j], t2[j]), (t1[i], t2[i]))
 
 
 def _search_grid(curve, g):
@@ -381,51 +364,62 @@ def _search_grid(curve, g):
     return t1, t2, _images(curve, t1, t2), 4.0 * (curve.total_length / np.pi) / g
 
 
-def _assert_seed_blocks_match(curve, g, min_seps):
-    """Every block of _seed_blocks at each min_separation against the
-    sort-first blocks, whose pairs are made once for all of them."""
+def _assert_seeds_match(curve, g, min_seps, monkeypatch):
+    """_seeds at each min_separation against the all-pairs reference, whose
+    pairs are made once for all of them; with the default sample blocks and
+    with blocks of 7 samples cut at 1,000 pairs."""
     t1, t2, images, cell = _search_grid(curve, g)
-    gates = [max(min_sep, 4.0 / g) for min_sep in min_seps]
-    got = zip(*(_seed_blocks(t1, t2, images, cell, gate) for gate in gates))
-    for blocks, pairs in itertools.zip_longest(got, _pair_blocks_sort_first(t1, t2, images, cell)):
-        assert blocks is not None and pairs is not None
-        for seeds, gate in zip(blocks, gates):
-            assert seeds.tobytes() == _seeds_sort_first(t1, t2, pairs, cell, gate).tobytes()
+    j, i, dist, sep = _pairs_sort_first(t1, t2, images)
+    for block in (None, (7, 1000)):
+        if block is not None:
+            monkeypatch.setattr("loopsurf.inscribed._SAMPLE_BLOCK", block[0])
+            monkeypatch.setattr("loopsurf.inscribed._PAIR_BUDGET", block[1])
+        for min_sep in min_seps:
+            gate = max(min_sep, 4.0 / g)
+            seed = (dist <= cell) & (sep >= gate)
+            got_j, got_i = _seeds(t1, t2, images, cell, gate)
+            assert got_j.tobytes() == j[seed].tobytes()
+            assert got_i.tobytes() == i[seed].tobytes()
 
 
+# a full distance matrix: grids of at most 32 x 32 samples
 SEED_CURVES = [(name, RECT_FIRST_CURVES[name], g) for name, g in (
-    ("circle", 256), ("ellipse-2x1", 256), ("superellipse-2x1p4", 128),
-    ("triangle", 256), ("l-hexagon", 128))] + [
-    ("ellipse-10x1", lambda: make_preset("ellipse", [10.0, 1.0]), 64),
-    ("ellipse-20x1", lambda: make_preset("ellipse", [20.0, 1.0]), 64),
-    ("superellipse-1x1p0.5", lambda: make_preset("superellipse", [1.0, 1.0, 0.5]), 128),
+    ("circle", 32), ("ellipse-2x1", 32), ("superellipse-2x1p4", 16),
+    ("triangle", 32), ("l-hexagon", 16))] + [
+    ("ellipse-10x1", lambda: make_preset("ellipse", [10.0, 1.0]), 32),
+    ("ellipse-20x1", lambda: make_preset("ellipse", [20.0, 1.0]), 32),
+    ("superellipse-1x1p0.5", lambda: make_preset("superellipse", [1.0, 1.0, 0.5]), 32),
 ]
 
 
 @pytest.mark.parametrize("name,make,g", SEED_CURVES, ids=[c[0] for c in SEED_CURVES])
-def test_filter_first_seed_blocks_match_sort_first(name, make, g):
-    _assert_seed_blocks_match(make(), g, (1e-3, 0.01, 0.69))
+def test_filter_first_seed_blocks_match_sort_first(name, make, g, monkeypatch):
+    _assert_seeds_match(make(), g, (1e-3, 0.01, 0.69), monkeypatch)
 
 
-def _winning_batch(curve, g, tol, min_sep):
+def _winning_batch(curve, g, tol, min_sep, by_index=False):
     """The refine batch the search at grid g accepts its witness from, with
     the uncut results and the index of the first accepted row; None if the
-    grid has no witness."""
+    grid has no witness. by_index: seeds in sample order (i, j) instead."""
     batch = _REFINE_BATCH
     t1, t2, images, cell = _search_grid(curve, g)
-    for seeds in _seed_blocks(t1, t2, images, cell, max(min_sep, 4.0 / g)):
-        while len(seeds):
-            rows = seeds[:batch]
-            theta, cost, _ = _refine(curve, rows, 0.02 * tol, min_sep)
-            seeds, batch = seeds[batch:], min(2 * batch, _REFINE_BATCH_CAP)
-            ok = np.flatnonzero((cost <= tol) & (_row_separation(mod1(theta)) >= min_sep))
-            if ok.size:
-                return rows, theta, cost, ok[0]
+    j, i = _seeds(t1, t2, images, cell, max(min_sep, 4.0 / g))
+    if by_index:
+        order = np.lexsort((j, i))
+        j, i = j[order], i[order]
+    while len(j):
+        rows = _seed_rows(t1, t2, j[:batch], i[:batch])
+        theta, cost, _ = _refine(curve, rows, 0.02 * tol, min_sep)
+        j, i, batch = j[batch:], i[batch:], min(2 * batch, _REFINE_BATCH_CAP)
+        ok = np.flatnonzero((cost <= tol) & (_row_separation(mod1(theta)) >= min_sep))
+        if ok.size:
+            return rows, theta, cost, ok[0]
     return None
 
 
-# circle at grid 32: two rows before the winner converge onto one chord
-# (pairs too close), so a cut at the first converged row is wrong
+# circle at grid 32, seeds in sample order: two rows before the winner
+# converge onto one chord (pairs too close), so a cut at the first converged
+# row is wrong; nearest first, every case here accepts its first row
 CUT_CASES = [
     ("circle", lambda: make_preset("circle", [1.0]), 32),
     ("ellipse-2x1", lambda: make_preset("ellipse", [2.0, 1.0]), 64),
@@ -437,13 +431,14 @@ CUT_CASES = [
 @pytest.mark.parametrize("name,make,g", CUT_CASES, ids=[c[0] for c in CUT_CASES])
 def test_refine_cut_off_keeps_rows_up_to_the_first_accepted(name, make, g):
     curve, tol, min_sep = make(), 1e-8, 1e-3
-    seeds, want_theta, want_cost, k = _winning_batch(curve, g, tol, min_sep)
-    theta, cost, _ = _refine(curve, seeds, 0.02 * tol, min_sep, accept=tol)
-    assert theta[:k + 1].tobytes() == want_theta[:k + 1].tobytes()
-    assert cost[:k + 1].tobytes() == want_cost[:k + 1].tobytes()
+    for by_index in (True, False):
+        seeds, want_theta, want_cost, k = _winning_batch(curve, g, tol, min_sep, by_index)
+        theta, cost, _ = _refine(curve, seeds, 0.02 * tol, min_sep, accept=tol)
+        assert theta[:k + 1].tobytes() == want_theta[:k + 1].tobytes()
+        assert cost[:k + 1].tobytes() == want_cost[:k + 1].tobytes()
+        if by_index and name == "circle":
+            assert np.any(want_cost[:k] <= 0.02 * tol)
     _assert_same_witness(_level_witness(curve, g, tol, min_sep), _make_witness(curve, theta[k]))
-    if name == "circle":
-        assert np.any(want_cost[:k] <= 0.02 * tol)
     # find_rectangle: the uncut winner of the coarsest level with a witness
     _, level_theta, _, level_k = next(filter(None, (_winning_batch(curve, level, tol, min_sep)
                                                     for level in _levels(g))))
