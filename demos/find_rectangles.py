@@ -20,20 +20,19 @@ from loopsurf import (
     verify_rectangle,
 )
 
-# aspect asks (best effort) for a short/long side ratio and searches the given
-# grid alone; without it, the first witness of the coarsest grid (16, 32, ...)
+# the first witness of the coarsest grid (16, 32, ... up to the given grid)
 # wins, which is seldom a thin sliver
 CASES = [
-    ("circle r=1", from_spec("circle:1"), 64, 1e-9, 1.0),
-    ("ellipse 2x1", from_spec("ellipse:2,1"), 128, 1e-8, 0.7),
-    ("triangle", load_polyline([(0, 0), (4, 0), (1, 3)]), 64, 1e-7, 0.8),
-    ("squashed superellipse", from_spec("superellipse:2,1,4"), 96, 1e-8, 0.7),
+    ("circle r=1", from_spec("circle:1"), 64, 1e-9),
+    ("ellipse 2x1", from_spec("ellipse:2,1"), 128, 1e-8),
+    ("triangle", load_polyline([(0, 0), (4, 0), (1, 3)]), 64, 1e-7),
+    ("squashed superellipse", from_spec("superellipse:2,1,4"), 96, 1e-8),
 ]
 
 results = []
-for name, curve, grid, tol, aspect in CASES:
-    res = find_rectangle(curve, grid_n=grid, tol=tol, aspect=aspect)
-    print(f"--- {name} (grid {grid}, tol {tol:g}, aspect {aspect})")
+for name, curve, grid, tol in CASES:
+    res = find_rectangle(curve, grid_n=grid, tol=tol)
+    print(f"--- {name} (grid {grid}, tol {tol:g})")
     if not isinstance(res, RectangleWitness):
         print(f"    no witness; best residual {res.best_residual}")
         continue

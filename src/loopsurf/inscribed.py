@@ -140,8 +140,7 @@ def _refine(curve, theta0, target, min_separation, accept=None):
     <= accept and its pairs min_separation apart (find_rectangle's
     acceptance test), every later row stops where it is. Earlier rows run
     as without it, so the first accepted row is the same, but later rows'
-    results are partial: a caller that may reject the first accepted row
-    (an aspect scan) passes None."""
+    results are partial; None, for per-seed checks, runs every row to its stop."""
     theta = np.array(theta0, dtype=float)
     res = _residual_many(curve, theta)
     cost = _norms(res)
@@ -241,18 +240,12 @@ def _make_witness(curve, theta):
                             midpoint_residual=mid_res, length_residual=len_res)
 
 
-def _aspect_ratio(witness):
-    v = witness.vertices
-    s1, s2 = np.linalg.norm(v[1] - v[0]), np.linalg.norm(v[2] - v[1])
-    return min(s1, s2) / max(s1, s2) if min(s1, s2) > 0.0 else 0.0
-
-
 def _check_tol(tol):
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
-def _search_level(curve, t1, t2, images, grid_n, tol, min_separation, aspect):
+def _search_level(curve, t1, t2, images, grid_n, tol, min_separation):
     """find_rectangle on the grid_n x grid_n samples (t1, t2) with their
     images alone: the witness (or None) and the least final cost of a
     refined row whose pairs stayed min_separation apart (inf if none did).
@@ -264,30 +257,22 @@ def _search_level(curve, t1, t2, images, grid_n, tol, min_separation, aspect):
     best = np.inf
     target = 0.02 * tol
     seed_gate = max(min_separation, 4.0 / grid_n)
-    best_witness, best_ratio_gap = None, np.inf
     batch = _REFINE_BATCH
 
     j, i = _seeds(t1, t2, images, cell, seed_gate)
     while len(j):
         seeds = np.stack([t1[j[:batch]], t2[j[:batch]], t1[i[:batch]], t2[i[:batch]]], axis=1)
-        thetas, costs, seps = _refine(curve, seeds, target, min_separation,
-                                      tol if aspect is None else None)
+        thetas, costs, seps = _refine(curve, seeds, target, min_separation, tol)
         j, i, batch = j[batch:], i[batch:], min(2 * batch, _REFINE_BATCH_CAP)
         apart = seps >= min_separation
         best = min(best, float(np.min(costs[apart], initial=np.inf)))
-        for theta in thetas[apart & (costs <= tol)]:
-            witness = _make_witness(curve, theta)
-            if aspect is None:
-                return witness, best
-            ratio = _aspect_ratio(witness)
-            if ratio > 0.0 and max(ratio / aspect, aspect / ratio) <= 1.5:
-                return witness, best
-            if abs(ratio - aspect) < best_ratio_gap:
-                best_witness, best_ratio_gap = witness, abs(ratio - aspect)
-    return best_witness, best
+        ok = np.flatnonzero(apart & (costs <= tol))
+        if ok.size:
+            return _make_witness(curve, thetas[ok[0]]), best
+    return None, best
 
 
-def find_rectangle(curve, grid_n=64, tol=1e-7, min_separation=1e-3, aspect=None):
+def find_rectangle(curve, grid_n=64, tol=1e-7, min_separation=1e-3):
     """Search for an inscribed rectangle.
 
     Samples the canonical unordered-pair domain (m, d) on g x g grids, g =
@@ -304,27 +289,20 @@ def find_rectangle(curve, grid_n=64, tol=1e-7, min_separation=1e-3, aspect=None)
     one image sheet, and chasing them makes the search quadratic in grid
     density. So a coarse grid finds a fatter rectangle sooner, and one whose
     diagonals are that close is left to a finer grid.
-
-    ``aspect``, when given, is a best-effort preference for the short/long
-    side ratio, on the grid_n grid alone: an accepted witness within a
-    factor 1.5 returns at once, otherwise the whole grid is scanned and the
-    closest ratio wins.
     """
     if not isinstance(grid_n, numbers.Integral) or grid_n < 16:
         raise ValueError(f"grid_n must be an integer >= 16, got {grid_n!r}")
     _check_tol(tol)
     if not 0.0 < min_separation < np.inf:
         raise ValueError(f"min_separation must be positive and finite, got {min_separation!r}")
-    if aspect is not None and not 0.0 < aspect <= 1.0:
-        raise ValueError(f"aspect must lie in (0, 1], got {aspect!r}")
 
     coarse = [16 << k for k in range(int(grid_n).bit_length()) if 16 << k < grid_n]
     best = np.inf
-    for g in ([] if aspect is not None else coarse) + [grid_n]:
+    for g in coarse + [grid_n]:
         m, d = np.meshgrid(np.arange(g) / g, 0.25 * (np.arange(g) + 1.0) / g, indexing="ij")
         t1, t2 = mod1(m - d).ravel(), mod1(m + d).ravel()
         images = _images(curve, t1, t2)
-        witness, g_best = _search_level(curve, t1, t2, images, g, tol, min_separation, aspect)
+        witness, g_best = _search_level(curve, t1, t2, images, g, tol, min_separation)
         if witness is not None:
             return witness
         best = min(best, g_best)
@@ -350,7 +328,8 @@ def _chart_distances(curve, v, n):
 def verify_rectangle(curve, witness, tol):
     """Independent audit of a witness: vertex-to-curve distances, midpoint
     and diagonal-length residuals, side lengths and the angle between the
-    diagonals. Passes iff every residual is <= tol.
+    diagonals. Passes iff every residual is <= tol and every side is longer
+    than tol: a shorter side puts two vertices on one point, spanning no area.
 
     A polygon is measured against its exact segments. Any other curve is
     measured on its own chart: _VERIFY_RESAMPLE_N arc-uniform points set the
@@ -383,6 +362,7 @@ def verify_rectangle(curve, witness, tol):
     sides = tuple(float(np.linalg.norm(v[(i + 1) % 4] - v[i])) for i in range(4))
     cosang = np.dot(diag1, diag2) / (np.linalg.norm(diag1) * np.linalg.norm(diag2))
     angle = float(np.arccos(np.clip(cosang, -1.0, 1.0)))
-    passes = bool(np.max(dists) <= tol and mid_res <= tol and len_res <= tol)
+    passes = bool(np.max(dists) <= tol and mid_res <= tol and len_res <= tol
+                  and min(sides) > tol)
     return RectangleReport(tuple(float(x) for x in dists), mid_res, len_res, sides, angle,
                            passes)

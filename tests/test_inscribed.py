@@ -154,25 +154,6 @@ def test_triangle_rectangle_with_brute_force_confirmation():
     assert np.min(gaps) <= r
 
 
-def test_aspect_preference_best_effort():
-    c = make_preset("circle", [1.0])
-    w = find_rectangle(c, grid_n=48, tol=1e-9, aspect=1.0)
-    assert isinstance(w, RectangleWitness)
-    s1 = np.linalg.norm(w.vertices[1] - w.vertices[0])
-    s2 = np.linalg.norm(w.vertices[2] - w.vertices[1])
-    assert min(s1, s2) / max(s1, s2) > 0.6
-    with pytest.raises(ValueError, match="aspect"):
-        find_rectangle(c, grid_n=32, tol=1e-6, aspect=2.0)
-
-
-def test_aspect_preference_deterministic():
-    tri = load_polyline([(0.0, 0.0), (4.0, 0.0), (1.0, 3.0)])
-    w1 = find_rectangle(tri, grid_n=48, tol=1e-7, aspect=0.5)
-    w2 = find_rectangle(tri, grid_n=48, tol=1e-7, aspect=0.5)
-    assert isinstance(w1, RectangleWitness)
-    assert w1.pairs == w2.pairs
-
-
 def test_not_found_is_data_with_best_residual():
     c = make_preset("circle", [1.0])
     # an oversized separation requirement suppresses every candidate
@@ -242,8 +223,7 @@ def test_rigid_motion_equivariance_on_every_level(grid_n):
         m, d = np.meshgrid(np.arange(grid_n) / grid_n,
                            0.25 * (np.arange(grid_n) + 1.0) / grid_n, indexing="ij")
         t1, t2 = mod1(m - d).ravel(), mod1(m + d).ravel()
-        return _search_level(curve, t1, t2, _images(curve, t1, t2), grid_n, 1e-7, 1e-3,
-                             None)[0]
+        return _search_level(curve, t1, t2, _images(curve, t1, t2), grid_n, 1e-7, 1e-3)[0]
 
     _assert_rigid_motion_equivariance(level)
     _assert_rigid_motion_equivariance(lambda c: find_rectangle(c, grid_n=grid_n, tol=1e-7))
@@ -423,6 +403,40 @@ def test_witnesses_compare_and_hash_by_identity():
     assert w == w
     assert (w == find_rectangle(c, grid_n=16)) is False
     assert {w: 1}[w] == 1
+
+
+_S = 2.0 * np.pi * np.arange(400) / 400
+FIGURE_EIGHT = np.stack([np.sin(_S), np.sin(_S) * np.cos(_S)], axis=1)
+
+
+@pytest.mark.parametrize("vertices", [[(0, 0), (1, 1), (1, 0), (0, 1)], FIGURE_EIGHT],
+                         ids=["bow-tie", "figure-eight"])
+def test_verify_refuses_a_zero_area_witness_through_a_self_crossing(vertices):
+    # on a self-crossing polygon the search returns two vertices at the
+    # crossing (bow-tie sides 5.7e-12 and 1.2e-12, figure eight 0 and 2e-15);
+    # every residual is within tol, so only the side check refuses them
+    curve = load_polyline(vertices)
+    w = find_rectangle(curve, grid_n=32, tol=1e-7)
+    assert isinstance(w, RectangleWitness)
+    report = verify_rectangle(curve, w, tol=1e-9)
+    assert max(report.vertex_curve_distances + (report.midpoint_residual,
+                                                report.length_residual)) <= 1e-9
+    assert min(report.side_lengths) <= 1e-9
+    assert not report.passes
+
+
+def test_verify_side_check_boundary_on_the_circle():
+    # a thin inscribed rectangle with short sides 6.3e-4: longer than 1e-6,
+    # shorter than 1e-3, and every residual within both
+    c = make_preset("circle", [1.0])
+    pairs = ((0.1, 0.6), (0.1 + 1e-4, 0.6 + 1e-4))
+    verts = np.stack([c.eval(0.1), c.eval(0.1 + 1e-4), c.eval(0.6), c.eval(0.6 + 1e-4)])
+    w = RectangleWitness(pairs, verts, 0.0, 0.0)
+    fine, coarse = verify_rectangle(c, w, tol=1e-6), verify_rectangle(c, w, tol=1e-3)
+    assert fine.passes and not coarse.passes
+    assert 1e-6 < min(coarse.side_lengths) < 1e-3
+    assert max(coarse.vertex_curve_distances + (coarse.midpoint_residual,
+                                                coarse.length_residual)) <= 1e-6
 
 
 # ---------------------------------------- verify_rectangle against closed forms

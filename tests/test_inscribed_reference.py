@@ -17,7 +17,6 @@ from loopsurf.curves import load_polyline, make_preset, mod1
 from loopsurf.inscribed import (
     NotFound,
     RectangleWitness,
-    _aspect_ratio,
     _images,
     _make_witness,
     _norms,
@@ -86,7 +85,7 @@ def _refine_scalar(curve, theta0, target, min_separation):
     return theta, cost
 
 
-def find_rectangle_reference(curve, grid_n=64, tol=1e-7, min_separation=1e-3, aspect=None):
+def find_rectangle_reference(curve, grid_n=64, tol=1e-7, min_separation=1e-3):
     scale = curve.total_length / np.pi
     cell = 4.0 * scale / grid_n
     capture = cell
@@ -100,8 +99,6 @@ def find_rectangle_reference(curve, grid_n=64, tol=1e-7, min_separation=1e-3, as
     best = np.inf
     target = 0.02 * tol
     seed_gate = max(min_separation, 4.0 / grid_n)
-    best_witness = None
-    best_ratio_gap = np.inf
     seeds = []                  # (image distance, i, j) of every seed
     for idx in range(len(images)):
         kx, ky, kz = (int(keys[idx, 0]), int(keys[idx, 1]), int(keys[idx, 2]))
@@ -127,16 +124,7 @@ def find_rectangle_reference(curve, grid_n=64, tol=1e-7, min_separation=1e-3, as
             continue        # collapsed onto one chord: neither witness nor miss
         best = min(best, cost)
         if cost <= tol:
-            witness = _make_witness(curve, theta)
-            if aspect is None:
-                return witness
-            ratio = _aspect_ratio(witness)
-            if ratio > 0.0 and max(ratio / aspect, aspect / ratio) <= 1.5:
-                return witness
-            if abs(ratio - aspect) < best_ratio_gap:
-                best_witness, best_ratio_gap = witness, abs(ratio - aspect)
-    if best_witness is not None:
-        return best_witness
+            return _make_witness(curve, theta)
     return NotFound(best_residual=float(best) if np.isfinite(best) else None)
 
 
@@ -158,10 +146,10 @@ def coarse_to_fine_reference(curve, grid_n, tol, min_separation=1e-3):
     return NotFound(best_residual=min(misses, default=None))
 
 
-def _level_witness(curve, grid_n, tol, min_separation=1e-3, aspect=None):
+def _level_witness(curve, grid_n, tol, min_separation=1e-3):
     """The single-grid search of find_rectangle at grid_n."""
     t1, t2, images, _ = _search_grid(curve, grid_n)
-    return _search_level(curve, t1, t2, images, grid_n, tol, min_separation, aspect)[0]
+    return _search_level(curve, t1, t2, images, grid_n, tol, min_separation)[0]
 
 
 def _assert_same_witness(got, want):
@@ -176,27 +164,24 @@ TRIANGLE = [(0.0, 0.0), (4.0, 0.0), (1.0, 3.0)]
 QUAD = [(0.0, 0.0), (4.0, 0.0), (5.0, 2.0), (1.0, 3.0)]
 
 # ellipse 20:1 drove some 4 x 4 damped normal matrices singular (the 3 x 3
-# residual-space ones stay regular); aspect=0.5 forces the full scan
+# residual-space ones stay regular)
 WITNESS_CASES = [
     ("circle", lambda: make_preset("circle", [1.0]), dict(grid_n=32, tol=1e-9)),
     ("ellipse-2x1", lambda: make_preset("ellipse", [2.0, 1.0]), dict(grid_n=64, tol=1e-8)),
     ("triangle", lambda: load_polyline(TRIANGLE), dict(grid_n=64, tol=1e-7)),
     ("quad", lambda: load_polyline(QUAD), dict(grid_n=48, tol=1e-7)),
     ("ellipse-20x1", lambda: make_preset("ellipse", [20.0, 1.0]), dict(grid_n=32, tol=1e-8)),
-    ("triangle-aspect", lambda: load_polyline(TRIANGLE),
-     dict(grid_n=48, tol=1e-7, aspect=0.5)),
 ]
 
 
 @pytest.mark.parametrize("name,make,kwargs", WITNESS_CASES, ids=[c[0] for c in WITNESS_CASES])
 def test_batched_search_returns_reference_witness(name, make, kwargs):
     # one level at grid_n against the single-grid reference; find_rectangle
-    # against the coarsest level with a witness, or grid_n alone with aspect
+    # against the coarsest level with a witness
     curve = make()
     want = find_rectangle_reference(curve, **kwargs)
     _assert_same_witness(_level_witness(curve, **kwargs), want)
-    if "aspect" not in kwargs:
-        want = coarse_to_fine_reference(curve, **kwargs)
+    want = coarse_to_fine_reference(curve, **kwargs)
     _assert_same_witness(find_rectangle(curve, **kwargs), want)
 
 
