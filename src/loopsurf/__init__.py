@@ -21,7 +21,6 @@ from .pairspace import (
     quotient_point,
 )
 from .embed import (
-    EmbedConfig,
     Mesh,
     MeshInvariants,
     NonManifoldEdgeError,
@@ -44,7 +43,7 @@ __all__ = [
     "Scheme", "QuotientPoint", "PairOnLoop", "Orbit",
     "canonicalize", "equivalent", "quotient_distance", "encode_pair", "decode",
     "orbit", "quotient_point",
-    "EmbedConfig", "Mesh", "MeshInvariants", "NonManifoldEdgeError",
+    "Mesh", "MeshInvariants", "NonManifoldEdgeError",
     "embed", "build_mesh", "mesh_invariants", "export_obj", "parse_obj",
     "EdgeWord", "SurfaceClass", "parse", "classify", "canonical_name",
     "RectangleWitness", "NotFound", "find_rectangle", "verify_rectangle",

@@ -14,7 +14,7 @@ import sys
 
 from .curves import PRESET_NAMES, from_spec
 from .edgeword import classify, parse
-from .embed import EmbedConfig, NonManifoldEdgeError, build_mesh, embed, export_obj, mesh_invariants
+from .embed import NonManifoldEdgeError, build_mesh, embed, export_obj, mesh_invariants
 from .inscribed import RectangleWitness, find_rectangle
 from .pairspace import Scheme, canonicalize, decode, quotient_point
 
@@ -33,6 +33,9 @@ class _DataError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):   # options in full: "--r" is no prefix of --resolution
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -73,8 +76,7 @@ def _cmd_classify(ns, out):
 def _cmd_mesh(ns, out):
     scheme = _scheme_arg(ns.scheme)
     try:
-        cfg = EmbedConfig(R=ns.R, r=ns.r, w=ns.w)
-        mesh = build_mesh(scheme, ns.resolution, cfg)
+        mesh = build_mesh(scheme, ns.resolution)
     except ValueError as e:
         raise _UsageError(str(e)) from None
     inv = mesh_invariants(mesh)
@@ -154,9 +156,6 @@ def _build_parser():
     p.add_argument("scheme")
     p.add_argument("--resolution", type=int, required=True, help=">= 3; >= 5 for mobius")
     p.add_argument("--out", default=None, help="write Wavefront OBJ here")
-    p.add_argument("--R", type=float, default=2.0)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--w", type=float, default=0.5)
     p.set_defaults(func=_cmd_mesh)
 
     p = sub.add_parser("encode", help="canonicalize square coordinates, with embedding")

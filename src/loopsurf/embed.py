@@ -23,29 +23,6 @@ class NonManifoldEdgeError(ValueError):
         super().__init__(f"non-manifold edge {self.edge}: {self.count} incident triangles")
 
 
-@dataclass(frozen=True)
-class EmbedConfig:
-    """Embedding radii: R major, r minor, w half-width of the band.
-
-    Defaults keep all three surfaces embedded without self-intersection.
-    Requires 0 < r < R < inf and 0 < w < R, so all three are finite: an
-    infinite R would put NaN coordinates into the mesh.
-    """
-
-    R: float = 2.0
-    r: float = 1.0
-    w: float = 0.5
-
-    def __post_init__(self):
-        if not (self.r > 0.0):
-            raise ValueError(f"minor radius must be positive, got r={self.r!r}")
-        if not (self.r < self.R < np.inf):
-            raise ValueError(f"need finite R > r for an embedded torus, got R={self.R!r}, "
-                             f"r={self.r!r}")
-        if not (0.0 < self.w < self.R):
-            raise ValueError(f"need 0 < w < R, got w={self.w!r}, R={self.R!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class Mesh:
     """Welded triangle mesh in R^3. Meshes compare and hash by identity, as
@@ -60,6 +37,10 @@ class Mesh:
     vertices: np.ndarray
     triangles: np.ndarray
     weld_map: np.ndarray | None = None
+
+    def __post_init__(self):
+        if np.asarray(self.triangles).dtype.kind not in "iu":    # no truncated float index
+            raise ValueError("triangle indices must be integers")
 
 
 @dataclass(frozen=True)
@@ -78,16 +59,21 @@ class MeshInvariants:
 
 # --------------------------------------------------------------------- charts
 
-def torus_chart(u, v, cfg=EmbedConfig()):
+# Embedding radii: R major, r minor, w half-width of the band. With these all
+# three surfaces embed without self-intersection; no invariant depends on them.
+R, r, w = 2.0, 1.0, 0.5
+
+
+def torus_chart(u, v):
     """Ordered-pair chart: (u, v) in [0,1)^2 onto the torus of radii (R, r)."""
     tu = 2.0 * np.pi * np.asarray(u, float)
     tv = 2.0 * np.pi * np.asarray(v, float)
-    ring = cfg.R + cfg.r * np.cos(tv)
+    ring = R + r * np.cos(tv)
     return np.stack([ring * np.cos(tu), ring * np.sin(tu),
-                     cfg.r * np.sin(tv)], axis=-1)
+                     r * np.sin(tv)], axis=-1)
 
 
-def pinched_sphere_chart(u, v, cfg=EmbedConfig()):
+def pinched_sphere_chart(u, v):
     """Horn-torus chart: the hole is pinched shut at u in {0, 1}.
 
     u rides the non-periodic axis, v the loop direction. The pole itself is
@@ -95,12 +81,12 @@ def pinched_sphere_chart(u, v, cfg=EmbedConfig()):
     """
     th = 2.0 * np.pi * np.asarray(u, float) + np.pi
     tv = 2.0 * np.pi * np.asarray(v, float)
-    rad = cfg.r * (1.0 + np.cos(th))
+    rad = r * (1.0 + np.cos(th))
     return np.stack([rad * np.cos(tv), rad * np.sin(tv),
-                     cfg.r * np.sin(th)], axis=-1)
+                     r * np.sin(th)], axis=-1)
 
 
-def mobius_band_chart(m, d, cfg=EmbedConfig()):
+def mobius_band_chart(m, d):
     """Unordered-pair chart: canonical (m, d) onto a half-twist band.
 
     The sign of the width coordinate flips at m = 1/2; the identity
@@ -111,22 +97,22 @@ def mobius_band_chart(m, d, cfg=EmbedConfig()):
     t = np.mod(4.0 * np.pi * m, 2.0 * np.pi)
     sigma = np.where(m < 0.5, 1.0, -1.0)
     s = (1.0 - 4.0 * np.asarray(d, float)) * sigma
-    ring = cfg.R + s * cfg.w * np.cos(0.5 * t)
+    ring = R + s * w * np.cos(0.5 * t)
     return np.stack([ring * np.cos(t), ring * np.sin(t),
-                     s * cfg.w * np.sin(0.5 * t)], axis=-1)
+                     s * w * np.sin(0.5 * t)], axis=-1)
 
 
-def _chart(scheme, u, v, pole, cfg):
+def _chart(scheme, u, v, pole):
     """The scheme's chart at canonical coordinates (u, v), scalars or
     arrays; points flagged as the pinched-sphere pole map to the origin."""
     if scheme is Scheme.TORUS:
-        return torus_chart(u, v, cfg)
+        return torus_chart(u, v)
     if scheme is Scheme.PINCHED_SPHERE:
-        return np.where(np.asarray(pole)[..., None], 0.0, pinched_sphere_chart(u, v, cfg))
-    return mobius_band_chart(u, v, cfg)
+        return np.where(np.asarray(pole)[..., None], 0.0, pinched_sphere_chart(u, v))
+    return mobius_band_chart(u, v)
 
 
-def embed(scheme, q, cfg=EmbedConfig()):
+def embed(scheme, q):
     """Embed a single canonical quotient point into R^3.
 
     Rejects points outside the scheme's canonical domain; the
@@ -135,7 +121,7 @@ def embed(scheme, q, cfg=EmbedConfig()):
     if q.scheme is not scheme:
         raise ValueError(f"point carries scheme {q.scheme.value!r}, expected {scheme.value!r}")
     q = quotient_point(scheme, q.u, q.v)
-    return _chart(scheme, q.u, q.v, q.is_pole, cfg)
+    return _chart(scheme, q.u, q.v, q.is_pole)
 
 
 # ---------------------------------------------------------------------- meshes
@@ -158,21 +144,15 @@ def _class_keys(scheme, n, i, j):
 
 
 def _first_seen_ids(keys):
-    """Dense ids of the keys in order of first occurrence, and the index at
-    which each id first occurs; indices take the dtype of ``keys``."""
-    order = np.argsort(keys, kind="stable").astype(keys.dtype, copy=False)
-    run = np.r_[True, np.diff(keys[order]) != 0]     # a new key starts a run
-    first = order[run]                               # stable: each key's first index
-    rep = np.sort(first)
-    rank = np.searchsorted(rep, first).astype(first.dtype)
-    del first
-    run = np.cumsum(run, dtype=rank.dtype) - 1       # the run of each sorted key
-    ids = np.empty(len(keys), np.int64)
-    ids[order] = rank[run]
-    return ids, rep
+    """Dense ids of the 1-D keys in order of first occurrence, and the index
+    at which each id first occurs."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse], np.sort(first)
 
 
-def build_mesh(scheme, n, cfg=EmbedConfig()):
+def build_mesh(scheme, n):
     """Welded triangle mesh realizing the scheme's quotient.
 
     Triangulates the (n+1) x (n+1) grid on the closed unit square, two
@@ -198,7 +178,7 @@ def build_mesh(scheme, n, cfg=EmbedConfig()):
     # grid flat index -> welded vertex -> representative grid index
     gi, gj = np.divmod(np.arange((n + 1) ** 2, dtype=it), n + 1)
     weld, rep = _first_seen_ids(_class_keys(scheme, n, gi, gj))
-    verts = _chart(scheme, *canonical_chart(scheme, gi[rep] / n, gj[rep] / n), cfg)
+    verts = _chart(scheme, *canonical_chart(scheme, gi[rep] / n, gj[rep] / n))
 
     # two triangles per cell c, row-major cell order, fixed diagonal direction:
     # corner offsets of the lower (c, c+di, c+di+dj) and upper (c, c+di+dj, c+dj)
@@ -329,10 +309,7 @@ def export_obj(mesh, sink):
             block = rows[at:at + _OBJ_ROWS]
             block = block if rows is verts else block + 1     # 1-based face indices
             text = (line * len(block)) % tuple(block.ravel().tolist())
-            try:
-                sink.write(text.encode("ascii"))
-            except TypeError:
-                sink.write(text)
+            sink.write(text.encode("ascii"))
 
 
 def parse_obj(source):

@@ -10,7 +10,6 @@ import pytest
 from loopsurf.curves import make_preset, mod1
 from loopsurf.edgeword import EdgeWord, classify, parse
 from loopsurf.embed import (
-    EmbedConfig,
     build_mesh,
     export_obj,
     mesh_invariants,
@@ -136,21 +135,20 @@ def test_criterion_3_classifier_catalog():
             assert classify(relabeled) == base
 
 
-def _embed_square_points(scheme, x, y, cfg):
+def _embed_square_points(scheme, x, y):
     """Vectorized embedding of raw square coordinates."""
     if scheme is T:
-        return torus_chart(mod1(x), mod1(y), cfg)
+        return torus_chart(mod1(x), mod1(y))
     if scheme is P:
-        pts = pinched_sphere_chart(x, mod1(y), cfg)
+        pts = pinched_sphere_chart(x, mod1(y))
         pole = (x == 0.0) | (x == 1.0)
         pts[pole] = 0.0
         return pts
     m, d = mobius_chart(x, y)
-    return mobius_band_chart(m, d, cfg)
+    return mobius_band_chart(m, d)
 
 
 def test_criterion_4_chart_consistency():
-    cfg = EmbedConfig()
     with _Budget("4 chart consistency", 10.0):
         rng = np.random.default_rng(41)
         n = 100_000
@@ -171,25 +169,25 @@ def test_criterion_4_chart_consistency():
                 x2, y2 = y + rng.integers(-1, 2, per).astype(float), x
             qd = quotient_distance(scheme, (x, y), (x2, y2))
             assert np.max(qd) == 0.0
-            gap = np.linalg.norm(_embed_square_points(scheme, x, y, cfg)
-                                 - _embed_square_points(scheme, x2, y2, cfg), axis=1)
+            gap = np.linalg.norm(_embed_square_points(scheme, x, y)
+                                 - _embed_square_points(scheme, x2, y2), axis=1)
             assert np.max(gap) < 1e-9
 
         for scheme in (T, P, M):
             x1, y1, x2, y2 = rng.random((4, 10_000))
             qd = quotient_distance(scheme, (x1, y1), (x2, y2))
             mask = qd > 1e-3
-            gap = np.linalg.norm(_embed_square_points(scheme, x1[mask], y1[mask], cfg)
-                                 - _embed_square_points(scheme, x2[mask], y2[mask], cfg),
+            gap = np.linalg.norm(_embed_square_points(scheme, x1[mask], y1[mask])
+                                 - _embed_square_points(scheme, x2[mask], y2[mask]),
                                  axis=1)
             assert np.min(gap) > 1e-6
 
         eps = 1e-8
         for d in (0.0, 0.07, 0.13, 0.22):
-            gap_half = np.linalg.norm(mobius_band_chart(0.5 - eps, d, cfg)
-                                      - mobius_band_chart(0.5 + eps, d, cfg))
-            gap_wrap = np.linalg.norm(mobius_band_chart(1.0 - eps, d, cfg)
-                                      - mobius_band_chart(0.0, d, cfg))
+            gap_half = np.linalg.norm(mobius_band_chart(0.5 - eps, d)
+                                      - mobius_band_chart(0.5 + eps, d))
+            gap_wrap = np.linalg.norm(mobius_band_chart(1.0 - eps, d)
+                                      - mobius_band_chart(0.0, d))
             assert gap_half < 1e-6 and gap_wrap < 1e-6
 
 

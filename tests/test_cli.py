@@ -226,6 +226,14 @@ def test_mesh_infinite_radius_is_usage_error(flag, tmp_path):
     assert out == "" and not path.exists()
 
 
+@pytest.mark.parametrize("args", [["--r", "3"], ["--res", "3"]])
+def test_mesh_option_prefix_is_usage_error(args):
+    # a prefix of --resolution would silently replace the resolution
+    code, out, err = invoke("mesh", "torus", "--resolution", "16", *args)
+    assert code == 2 and err == f"error: unrecognized arguments: {' '.join(args)}\n"
+    assert out == ""
+
+
 def test_curve_sample_roundtrip_through_file(tmp_path):
     code, out, _ = invoke("curve-sample", "--curve", "ellipse:2,1", "--n", "64")
     path = tmp_path / "loop.csv"

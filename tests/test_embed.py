@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import tracemalloc
@@ -6,7 +7,6 @@ import numpy as np
 import pytest
 
 from loopsurf.embed import (
-    EmbedConfig,
     Mesh,
     NonManifoldEdgeError,
     _class_keys,
@@ -28,7 +28,6 @@ from loopsurf.pairspace import (
 )
 
 T, P, M = Scheme.TORUS, Scheme.PINCHED_SPHERE, Scheme.MOBIUS_UNORDERED
-CFG = EmbedConfig()
 LEAST_N = {T: 3, P: 3, M: 5}    # the least grid resolution build_mesh takes
 
 
@@ -50,14 +49,23 @@ def test_mobius_core_circle_point():
     assert np.allclose(p, [-2.0, 0.0, 0.0], atol=1e-14)
 
 
+def test_charts_pin_radii():
+    # R = 2, r = 1, w = 0.5: points whose coordinates are exact in floating point
+    assert np.array_equal(torus_chart(0, 0), [3.0, 0.0, 0.0])
+    assert np.array_equal(torus_chart(0, 0.5)[:2], [1.0, 0.0])
+    assert np.array_equal(pinched_sphere_chart(0.5, 0)[:2], [2.0, 0.0])
+    assert np.array_equal(mobius_band_chart(0, 0), [2.5, 0.0, 0.0])
+    assert np.array_equal(mobius_band_chart(0, 0.25), [2.0, 0.0, 0.0])
+
+
 def test_mobius_seam_limits():
     eps = 1e-8
     for d in (0.0, 0.1, 0.2):
-        a = mobius_band_chart(0.5 - eps, d, CFG)
-        b = mobius_band_chart(0.5 + eps, d, CFG)
+        a = mobius_band_chart(0.5 - eps, d)
+        b = mobius_band_chart(0.5 + eps, d)
         assert np.linalg.norm(a - b) < 1e-6
-        c = mobius_band_chart(1.0 - eps, d, CFG)
-        e = mobius_band_chart(0.0, d, CFG)
+        c = mobius_band_chart(1.0 - eps, d)
+        e = mobius_band_chart(0.0, d)
         assert np.linalg.norm(c - e) < 1e-6
 
 
@@ -71,24 +79,6 @@ def test_embed_rejects_non_canonical():
 def test_embed_scheme_mismatch():
     with pytest.raises(ValueError, match="scheme"):
         embed(T, QuotientPoint(M, 0.1, 0.1))
-
-
-def test_config_validation():
-    with pytest.raises(ValueError, match="R > r"):
-        EmbedConfig(R=1.0, r=2.0)
-    with pytest.raises(ValueError, match="positive"):
-        EmbedConfig(r=-1.0)
-    with pytest.raises(ValueError, match="w < R"):
-        EmbedConfig(w=5.0)
-
-
-@pytest.mark.parametrize("radii", [dict(R=np.inf), dict(R=np.nan), dict(r=np.inf),
-                                   dict(r=np.nan), dict(w=np.inf), dict(w=np.nan),
-                                   dict(R=np.inf, r=np.inf, w=np.inf)])
-def test_config_rejects_non_finite_radii(radii):
-    # R=inf passed and gave NaN mesh coordinates
-    with pytest.raises(ValueError):
-        EmbedConfig(**radii)
 
 
 def test_chart_constant_on_classes():
@@ -297,6 +287,14 @@ def test_single_triangle_invariants():
     assert inv.euler_char == 1 and inv.boundary_loops == 1 and inv.orientable
 
 
+@pytest.mark.parametrize("tris", [np.array([[0, 1, 2.7]]), np.array([[False, True, True]])],
+                         ids=["float", "bool"])
+def test_mesh_rejects_non_integer_triangles(tris):
+    # [[0, 1, 2.7]] counted as one triangle and was written to OBJ as "f 1.0 2.0 3.7"
+    with pytest.raises(ValueError, match="triangle indices must be integers"):
+        Mesh(vertices=np.eye(3), triangles=tris)
+
+
 def test_bow_tie_boundary_reported():
     # two triangles sharing vertex 2: it meets four boundary edges
     mesh = Mesh(vertices=np.arange(15.0).reshape(5, 3),
@@ -406,6 +404,26 @@ def test_obj_golden_bytes(dtype):
         assert sink.getvalue().splitlines()[:2] == [
             b"v -0 4.9406564584124654e-324 0.10000000000000001",
             b"v 0.33333333333333331 1e+22 0.10000000149011612"]
+
+
+@pytest.mark.parametrize("scheme,first,sha256,size", [
+    (T, b"v 3 0 0", "b2391f13736af4349dc9ee2f583461b3c2ab394b519b8ab0e858904ada957b68", 577),
+    (P, b"v 0 0 0", "b99372c50538533c8bfe2668ce154f6b2e12c7fc9e8317fc3c4232aa76d5e081", 442),
+    (M, b"v 2.5 0 0", "ee9eaf89f92f5a9eac954872836fd027115790eb6d8376dc3150799c47d0be2e", 1017),
+], ids=["torus", "pinched-sphere", "mobius"])
+def test_least_mesh_golden_bytes(scheme, first, sha256, size):
+    # the reference tests call the same charts; these bytes also pin the radii
+    sink = io.BytesIO()
+    export_obj(build_mesh(scheme, LEAST_N[scheme]), sink)
+    data = sink.getvalue()
+    assert data.splitlines()[0] == first and len(data) == size
+    assert hashlib.sha256(data).hexdigest() == sha256
+
+
+def test_obj_export_rejects_text_sink():
+    mesh = Mesh(vertices=np.eye(3), triangles=np.array([[0, 1, 2]]))
+    with pytest.raises(TypeError):
+        export_obj(mesh, io.StringIO())
 
 
 def test_obj_export_matches_per_line_format_on_meshes():

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from loopsurf.embed import (
-    EmbedConfig,
     Mesh,
     NonManifoldEdgeError,
     MeshInvariants,
@@ -185,22 +184,22 @@ def _mesh_reference(scheme, n):
     return tris_all[keep], weld, rank_e[inv_e.ravel()].reshape(-1, 3), esign
 
 
-def _vertices_reference(scheme, n, cfg=EmbedConfig()):
+def _vertices_reference(scheme, n):
     """Vertices of build_mesh from a chart block per scheme, on the grid
     indices of each welded vertex's first grid occurrence."""
     _, first_idx = np.unique(_grid_class_keys(scheme, n), return_index=True)
     rep = first_idx[np.argsort(first_idx, kind="stable")]
     ri, rj = rep // (n + 1), rep % (n + 1)
     if scheme is Scheme.TORUS:
-        verts = torus_chart((ri % n) / n, (rj % n) / n, cfg)
+        verts = torus_chart((ri % n) / n, (rj % n) / n)
     elif scheme is Scheme.PINCHED_SPHERE:
-        verts = pinched_sphere_chart(ri / n, (rj % n) / n, cfg)
+        verts = pinched_sphere_chart(ri / n, (rj % n) / n)
         verts[(ri % n) == 0] = 0.0            # collapsed-edge class -> pole
     else:
         a = np.minimum(ri % n, rj % n) / n
         b = np.maximum(ri % n, rj % n) / n
         m, d = mobius_chart(a, b)
-        verts = mobius_band_chart(m, d, cfg)
+        verts = mobius_band_chart(m, d)
     return verts
 
 
