@@ -39,8 +39,13 @@ class Mesh:
     weld_map: np.ndarray | None = None
 
     def __post_init__(self):
-        if np.asarray(self.triangles).dtype.kind not in "iu":    # no truncated float index
+        tris, verts = np.asarray(self.triangles), np.asarray(self.vertices)
+        if tris.dtype.kind not in "iu":    # no truncated float index
             raise ValueError("triangle indices must be integers")
+        if tris.ndim != 2 or tris.shape[1] != 3:
+            raise ValueError(f"triangles must have shape (k, 3), got {tris.shape}")
+        if verts.shape != (0,) and (verts.ndim != 2 or verts.shape[1] != 3):   # (0,): no v lines
+            raise ValueError(f"vertices must have shape (m, 3), got {verts.shape}")
 
 
 @dataclass(frozen=True)
@@ -302,14 +307,43 @@ def export_obj(mesh, sink):
     tris = np.asarray(mesh.triangles)
     if len(verts) == 0 or len(tris) == 0:
         raise ValueError("empty mesh")
-    # a row without three entries raises the unpacking error of a per-row writer
-    (_, _, _), (_, _, _) = verts[0], tris[0]
     for line, rows in (("v %.17g %.17g %.17g\n", verts), ("f %s %s %s\n", tris)):
         for at in range(0, len(rows), _OBJ_ROWS):
             block = rows[at:at + _OBJ_ROWS]
             block = block if rows is verts else block + 1     # 1-based face indices
             text = (line * len(block)) % tuple(block.ravel().tolist())
             sink.write(text.encode("ascii"))
+
+
+def _export_shaped(block):
+    """The line count and the vertex and face fields of an OBJ block (str or
+    bytes) in the shape export_obj writes, or None for any other block.
+
+    That shape is "v" lines, then "f" lines, each a one-byte directive and
+    three fields of the bytes 0-9 . e E + - v f, separated by spaces and
+    ending in a newline. The fields are bytes tokens, but a block of face
+    lines whose fields are digits only has them converted to one int64 array.
+    """
+    raw = block.encode("ascii", "replace") if isinstance(block, str) else block   # "?": no OBJ byte
+    if not raw.endswith(b"\n") or raw.translate(None, b"0123456789.eE+-vf \n"):
+        return None
+    a = np.frombuffer(raw, np.uint8)
+    gap = (a == ord(" ")) | (a == ord("\n"))
+    firsts = np.flatnonzero(~gap & np.r_[True, gap[:-1]])      # where each token starts
+    starts = np.flatnonzero(np.r_[True, a[:-1] == ord("\n")])  # where each line starts
+    count, nv = len(starts), np.count_nonzero(a[starts] == ord("v"))
+    # four tokens a line, the first a one-byte directive, v lines first
+    if (len(firsts) != 4 * count or (firsts[0::4] != starts).any()
+            or a[starts].tobytes() != b"v" * nv + b"f" * (count - nv)
+            or (a[starts + 1] != ord(" ")).any()):
+        return None
+    if raw.translate(None, b"0123456789 \n") == b"f" * count:    # face lines of digits only
+        f = np.fromstring(raw.replace(b"f", b" "), np.int64, sep=" ")
+        if f.size == 3 * count and f.max() < np.iinfo(np.int64).max:   # strtoll saturates there
+            return count, [], f
+    fields = raw.split()
+    del fields[0::4]
+    return count, fields[:3 * nv], fields[3 * nv:]
 
 
 def parse_obj(source):
@@ -324,6 +358,10 @@ def parse_obj(source):
     number. Among invalid numbers, the first in line order raises. It reads
     the text in blocks of about _OBJ_CHARS characters, each cut after a
     newline and decoded on its own; this bounds memory and changes nothing above.
+
+    A block in the shape export_obj writes (_export_shaped) is checked and
+    converted as a whole; every other block, and a block whose numbers fail
+    to convert, takes the per-line check, which raises every error above.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -340,25 +378,30 @@ def parse_obj(source):
     error, lineno, at = None, 0, 0
     while at < len(text):
         cut = text.find(newline, at + _OBJ_CHARS) + 1 or len(text)   # splits no line, no "\r\n"
-        lines, vtok, ftok = as_str(text[at:cut]).splitlines(), [], []
-        for lineno, line in enumerate(lines, start=lineno + 1):
-            parts = line.split() or ["#"]       # a blank line reads as a comment
-            if parts[0] == "v":
-                if len(parts) != 4:
-                    raise ValueError(f"line {lineno}: malformed vertex line {line!r}")
-                vtok += parts[1:]
-            elif parts[0] == "f":
-                if len(parts) != 4:
-                    raise ValueError(f"line {lineno}: malformed face line {line!r}")
-                ftok += parts[1:]
-            elif not parts[0].startswith("#"):
-                raise ValueError(f"line {lineno}: unsupported OBJ directive {parts[0]!r}")
-        at = cut
+        block, at = text[at:cut], cut
+        shaped = _export_shaped(block)
+        if shaped is not None:
+            count, vtok, ftok = shaped
+            lineno += count
+        else:
+            vtok, ftok = [], []
+            for lineno, line in enumerate(as_str(block).splitlines(), start=lineno + 1):
+                parts = line.split() or ["#"]       # a blank line reads as a comment
+                if parts[0] == "v":
+                    if len(parts) != 4:
+                        raise ValueError(f"line {lineno}: malformed vertex line {line!r}")
+                    vtok += parts[1:]
+                elif parts[0] == "f":
+                    if len(parts) != 4:
+                        raise ValueError(f"line {lineno}: malformed face line {line!r}")
+                    ftok += parts[1:]
+                elif not parts[0].startswith("#"):
+                    raise ValueError(f"line {lineno}: unsupported OBJ directive {parts[0]!r}")
         if isinstance(error, ValueError):
             continue                            # conversion has stopped
-        # numpy converts str tokens with Python float() and int(), until one fails
+        # numpy converts str and bytes tokens with Python float() and int(), until one fails
         try:
-            v, f = np.array(vtok, dtype=float), np.array(ftok, dtype=np.int64) - 1
+            v, f = np.array(vtok, dtype=float), np.asarray(ftok, dtype=np.int64) - 1
             if f.size and f.max() == np.iinfo(np.int64).max:     # wrapped: index int64 min
                 raise OverflowError("face index - 1 leaves int64")
         except (ValueError, OverflowError):
@@ -366,7 +409,7 @@ def parse_obj(source):
             # an int64 overflow of a shifted face index yields to a later invalid number
             try:
                 tok = {"v": [], "f": []}
-                for parts in map(str.split, lines):
+                for parts in map(str.split, as_str(block).splitlines()):
                     if parts and not parts[0].startswith("#"):
                         tok[parts[0]] += map(float if parts[0] == "v" else int, parts[1:])
                 v = np.array(tok["v"], dtype=float)

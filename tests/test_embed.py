@@ -295,6 +295,18 @@ def test_mesh_rejects_non_integer_triangles(tris):
         Mesh(vertices=np.eye(3), triangles=tris)
 
 
+@pytest.mark.parametrize("verts,tris", [(np.eye(3), np.array([0, 1, 2])),
+                                        (np.eye(3)[:, :2], np.array([[0, 1, 2]]))],
+                         ids=["flat-triangles", "planar-vertices"])
+def test_mesh_rejects_misshapen_arrays(verts, tris):
+    # a flat index array made mesh_invariants raise IndexError; planar vertices
+    # counted as a mesh that export_obj then refused
+    with pytest.raises(ValueError, match=r"must have shape \([km], 3\)"):
+        Mesh(vertices=verts, triangles=tris)
+    # text without v lines parses to empty vertices of shape (0,)
+    assert Mesh(vertices=np.empty(0), triangles=np.empty((0, 3), int)).vertices.shape == (0,)
+
+
 def test_bow_tie_boundary_reported():
     # two triangles sharing vertex 2: it meets four boundary edges
     mesh = Mesh(vertices=np.arange(15.0).reshape(5, 3),

@@ -190,7 +190,31 @@ SMALL = [
     "v 0 0 0\r\n\r\nvt 0 0\r\nf 1 x 3\r\n",
     "\n\n\n",
     "v 1e999 nan -0\n\x0c\x0c\nf 01 +2 3\n",
+    # in the shape export_obj writes, or one byte away from it
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 3 2 1\n",
+    "f 1 2 3\nv 0 0 0\n",
+    "f 007 +2 3\n",
+    "f 9223372036854775807 1 2\n",
+    "f 99999999999999999999 1 2\n",
+    "f 1 2 1e3\n",
+    "f 1 2 3f\nf f 1 2\n",
+    "v 1E5 -.5 1e-320\n",
+    "v 1 2 3 v\nv5 1 2\n",
+    "v 1  2 3\nf 1 1 1 \n",
+    "vf 1 2 3\n",
+    "v . 0 0\nf - 1 2\n",
 ]
+
+
+def test_exported_blocks_are_export_shaped(torus_lines):
+    # every block of export_obj's text skips the per-line check, and a block
+    # of face lines comes back as one int64 array
+    text = ("\n".join(torus_lines) + "\n").encode()
+    cuts = _cuts(text.decode(), EMBED._OBJ_CHARS)
+    for start, end in zip([0] + cuts[:-1], cuts):
+        shaped = EMBED._export_shaped(text[start:end])
+        assert shaped is not None
+        assert not text.startswith(b"f", start) or isinstance(shaped[2], np.ndarray)
 
 
 @pytest.mark.parametrize("text", SMALL)
