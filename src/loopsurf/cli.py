@@ -15,7 +15,7 @@ import sys
 from .curves import PRESET_NAMES, from_spec
 from .edgeword import classify, parse
 from .embed import NonManifoldEdgeError, build_mesh, embed, export_obj, mesh_invariants
-from .inscribed import RectangleWitness, find_rectangle
+from .inscribed import find_rectangle
 from .pairspace import Scheme, canonicalize, decode, quotient_point
 
 EXIT_OK = 0
@@ -124,10 +124,7 @@ def _cmd_rect(ns, out):
                                 min_separation=ns.min_sep)
     except ValueError as e:
         raise _UsageError(str(e)) from None
-    payload = result.to_json()
-    if isinstance(result, RectangleWitness):
-        payload["found"] = True
-    _emit(out, payload)
+    _emit(out, result.to_json())
     return EXIT_OK
 
 

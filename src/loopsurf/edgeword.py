@@ -32,9 +32,6 @@ class EdgeWord:
             if k > 2:
                 raise ValueError(f"label '{label}' appears {k} times")
 
-    def __len__(self):
-        return len(self.letters)
-
     def text(self):
         return "".join(l if e > 0 else l.upper() for l, e in self.letters)
 

@@ -179,7 +179,7 @@ def build_mesh(scheme, n):
     if scheme is Scheme.MOBIUS_UNORDERED and n < 5:
         raise ValueError(f"a mobius band needs grid resolution >= 5, got {n}: "
                          "coarser grids join two quotient edges on one vertex pair")
-    it = np.int32 if 6 * (n + 1) ** 2 < 2**31 else np.int64   # indices < 2 (n+1)^2, with room
+    it = np.int32 if 2 * n * n <= 2**31 else np.int64   # largest index: a fold key < 2 n^2
     # grid flat index -> welded vertex -> representative grid index
     gi, gj = np.divmod(np.arange((n + 1) ** 2, dtype=it), n + 1)
     weld, rep = _first_seen_ids(_class_keys(scheme, n, gi, gj))

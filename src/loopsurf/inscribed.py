@@ -38,8 +38,9 @@ class RectangleWitness:
 
     ``vertices`` interleaves the two chords, so consecutive vertices are
     rectangle sides and ``vertices[0] - vertices[2]`` / ``vertices[1] -
-    vertices[3]`` are the diagonals. ``length_residual`` is the full
-    diagonal-length difference.
+    vertices[3]`` are the diagonals. The residuals are the midpoint and
+    length parts of the chord-image difference the search accepted at the
+    pairs (_residual_many); the JSON form carries ``"found": True``.
     """
 
     pairs: tuple
@@ -51,7 +52,7 @@ class RectangleWitness:
         return {"pairs": [list(p) for p in self.pairs],
                 "vertices": [list(v) for v in self.vertices],
                 "midpoint_residual": self.midpoint_residual,
-                "length_residual": self.length_residual}
+                "length_residual": self.length_residual, "found": True}
 
 
 @dataclass(frozen=True)
@@ -228,16 +229,14 @@ def _seeds(t1, t2, images, cell, seed_gate):
 
 
 def _make_witness(curve, theta):
-    # residuals written out: the batched norm of _residual_many rounds the
-    # diagonal lengths differently and can move length_residual by an ulp
     t = [float(x) for x in mod1(theta)]
     pair_a, pair_b = sorted([tuple(sorted(t[:2])), tuple(sorted(t[2:]))])
     pa, pb = curve.eval(np.asarray(pair_a)), curve.eval(np.asarray(pair_b))
-    vertices = np.stack([pa[0], pb[0], pa[1], pb[1]])
-    mid_res = float(np.linalg.norm(0.5 * (pa[0] + pa[1]) - 0.5 * (pb[0] + pb[1])))
-    len_res = float(abs(np.linalg.norm(pa[0] - pa[1]) - np.linalg.norm(pb[0] - pb[1])))
-    return RectangleWitness(pairs=(pair_a, pair_b), vertices=vertices,
-                            midpoint_residual=mid_res, length_residual=len_res)
+    # _residual_many's row at theta up to sign: eval(mod1(t)) is eval(t), _chords is symmetric
+    res = _chords(pa[0], pa[1]) - _chords(pb[0], pb[1])
+    return RectangleWitness(pairs=(pair_a, pair_b), vertices=np.stack([pa[0], pb[0], pa[1], pb[1]]),
+                            midpoint_residual=float(_lengths(res[:2])),
+                            length_residual=float(abs(res[2])))
 
 
 def _check_tol(tol):

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from loopsurf.cli import run
-from loopsurf.embed import mesh_invariants, parse_obj
+from loopsurf.embed import NonManifoldEdgeError, mesh_invariants, parse_obj
 
 
 def invoke(*argv):
@@ -188,6 +188,25 @@ def test_curve_sample_csv(tmp_path):
     for line in lines[1:]:
         x, y = map(float, line.split(","))
         assert abs(math.hypot(x, y) - 2.0) < 1e-12
+
+
+def test_curve_sample_needs_a_point():
+    assert invoke("curve-sample", "--curve", "circle:1", "--n", "0") == \
+        (2, "", "error: --n must be >= 1, got 0\n")
+
+
+def test_internal_errors_exit_4(monkeypatch):
+    def non_manifold(mesh):
+        raise NonManifoldEdgeError((1, 2), 3)
+
+    def broken(word):
+        raise RuntimeError("classifier broke")
+
+    monkeypatch.setattr("loopsurf.cli.mesh_invariants", non_manifold)
+    monkeypatch.setattr("loopsurf.cli.classify", broken)
+    assert invoke("mesh", "torus", "--resolution", "3") == \
+        (4, "", "error: non-manifold edge (1, 2): 3 incident triangles\n")
+    assert invoke("classify", "abAB") == (4, "", "error: internal: classifier broke\n")
 
 
 def test_curve_sample_overflowing_perimeter_is_data_error():

@@ -61,6 +61,13 @@ def test_polyline_too_few_vertices():
         load_polyline([(0, 0), (1, 0)])
 
 
+def test_polyline_records_and_sample_count():
+    with pytest.raises(ValueError, match=r"^expected \(k, 2\) vertex records, got shape \(3, 3\)$"):
+        load_polyline(np.eye(3))
+    with pytest.raises(ValueError, match="^sample count must be >= 1$"):
+        load_polyline([(0, 0), (1, 0), (0, 1)]).sample(0)
+
+
 def test_polyline_duplicate_vertex():
     with pytest.raises(ValueError, match="zero-length segment"):
         load_polyline([(0, 0), (0, 0), (1, 1)])
@@ -229,6 +236,9 @@ def test_csv_without_header():
 def test_csv_bad_line():
     with pytest.raises(ValueError, match="line 2"):
         load_polyline_csv(io.StringIO("0,0\n1;2\n3,4\n"))
+    # a blank line is skipped, but counted
+    with pytest.raises(ValueError, match="^line 3: non-numeric coordinate in '1,a'$"):
+        load_polyline_csv(io.StringIO("0,0\n\n1,a\n3,4\n"))
 
 
 def test_csv_non_finite():

@@ -13,6 +13,7 @@ from loopsurf.pairspace import Scheme
 def test_parse_commutator():
     w = parse("abAB")
     assert w.letters == (("a", 1), ("b", 1), ("a", -1), ("b", -1))
+    assert w.text() == "abAB"
 
 
 def test_parse_whitespace_ignored():
@@ -231,3 +232,6 @@ def test_canonical_name_table():
 def test_canonical_name_fallback():
     assert canonical_name(SurfaceClass(1, True, 0, 0, "")) == \
         "surface(chi=1, orientable=True, boundary=0)"
+    # bounded: an orientable chi + b = 1 has no closed name to take the boundary
+    assert canonical_name(SurfaceClass(0, True, 1, 0, "")) == \
+        "surface(chi=0, orientable=True, boundary=1)"

@@ -172,6 +172,11 @@ def test_mesh_resolution_precondition():
     assert np.array_equal(build_mesh(T, np.int64(5)).triangles, build_mesh(T, 5).triangles)
 
 
+def test_build_mesh_takes_a_scheme_not_its_value():
+    with pytest.raises(ValueError, match="^unknown scheme 'torus'$"):
+        build_mesh("torus", 8)
+
+
 def test_weld_map_consistency():
     n = 6
     for scheme in (T, P, M):
@@ -455,11 +460,21 @@ def test_obj_export_matches_per_line_format_on_meshes():
     ("v 0 x 0\nf 1 2\n", "line 2: malformed face line 'f 1 2'"),
     # a first token starting with '#' opens a comment in both passes
     ("#v 0 z\nv 0 x 0\nf 1 2 3\n", "could not convert string to float: 'x'"),
+    # parsed, then refused by mesh_invariants
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4\n", "triangle references an invalid vertex index"),
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 2\n", "degenerate triangle with repeated vertex"),
+    (b"v 0 0 0\nv 1 0 \xc3\xa9\n",
+     "'ascii' codec can't decode byte 0xc3 in position 14: ordinal not in range(128)"),
 ])
 def test_obj_parse_errors(text, message):
     with pytest.raises(ValueError) as err:
-        parse_obj(text)
+        mesh_invariants(parse_obj(text))
     assert str(err.value) == message
+
+
+def test_obj_without_faces_counts_its_vertices():
+    assert mesh_invariants(parse_obj("v 0 0 0\nv 1 0 0\n")).to_json() == \
+        {"V": 2, "E": 0, "F": 0, "chi": 2, "boundary_loops": 0, "orientable": True}
 
 
 def test_obj_parse_skips_comments_and_blank_lines():
@@ -614,15 +629,18 @@ def _class_key_reference(scheme, n, i, j):
 
 
 @pytest.mark.parametrize("scheme", [T, P, M], ids=lambda s: s.value)
-@pytest.mark.parametrize("n,dtype", [(40_000, np.int64), (18_917, np.int32)])
+@pytest.mark.parametrize("n,dtype", [(40_000, np.int64), (32_768, np.int32)])
 def test_class_keys_exact_at_large_resolution(scheme, n, dtype):
-    # build_mesh takes int32 indices while 6 (n+1)^2 < 2**31, that is up to
-    # n = 18,917; the keys stay exact on the n grid and on the 2n grid,
-    # whose keys reach 4 n^2 and leave int32 at n = 40,000
+    # build_mesh takes int32 indices while its largest, the Möbius fold key
+    # 2 (ci n + cj) + h < 2 n^2, fits: up to n = 32,768 (2 n^2 = 2**31)
     rng = np.random.default_rng(n)
-    for m in (n, 2 * n):
-        edge = [0, 1, 2, m // 2, m - 2, m - 1, m]
-        i = np.array(edge * len(edge) + rng.integers(0, m + 1, 200).tolist())
-        j = np.array(np.repeat(edge, len(edge)).tolist() + rng.integers(0, m + 1, 200).tolist())
-        keys = _class_keys(scheme, m, i.astype(dtype), j.astype(dtype))
-        assert keys.tolist() == _class_key_reference(scheme, m, i, j)
+    edge = [0, 1, 2, n // 2, n - 2, n - 1, n]
+    i = np.array(edge * len(edge) + rng.integers(0, n + 1, 200).tolist())
+    j = np.array(np.repeat(edge, len(edge)).tolist() + rng.integers(0, n + 1, 200).tolist())
+    keys = _class_keys(scheme, n, i.astype(dtype), j.astype(dtype))
+    assert keys.tolist() == _class_key_reference(scheme, n, i, j)
+    # the fold key of build_mesh, on cells (ci, cj) in 0..n-1
+    ci, cj = (np.minimum(x, n - 1).astype(dtype)[:, None] for x in (i, j))
+    fold = 2 * (ci * n + cj) + [0, 1]
+    assert fold.tolist() == [[2 * (a * n + b) + h for h in (0, 1)]
+                             for a, b in zip(ci.ravel().tolist(), cj.ravel().tolist())]

@@ -1,9 +1,10 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from loopsurf.curves import load_polyline, make_preset, mod1
+from loopsurf.curves import _lengths, load_polyline, make_preset, mod1
 from loopsurf import inscribed
 from loopsurf.inscribed import (
     NotFound,
@@ -284,6 +285,18 @@ def test_census_witnesses_pass_verification():
             assert verify_rectangle(curve, w, tol=1e-6).passes
 
 
+def test_census_witnesses_report_the_residuals_the_search_accepted():
+    # the midpoint and length parts of the search's image difference at the
+    # witness's pairs, to the bit
+    for curve in _census_curves():
+        for grid_n, tol in itertools.product((32, 64), (1e-7, 1e-12)):
+            w = find_rectangle(curve, grid_n=grid_n, tol=tol)
+            assert isinstance(w, RectangleWitness) and w.to_json()["found"] is True
+            res = inscribed._residual_many(curve, np.array(w.pairs[0] + w.pairs[1]))
+            assert (w.midpoint_residual, w.length_residual) == \
+                (float(_lengths(res[:2])), float(abs(res[2])))
+
+
 @pytest.mark.parametrize("curve", [make_preset("ellipse", [100.0, 1.0]), load_polyline(STAR7)],
                          ids=["ellipse-100x1", "star7"])
 def test_nearest_seeds_find_the_witness_in_one_refine_call(curve, monkeypatch):
@@ -367,6 +380,15 @@ def test_verify_rejects_coincident_pairs():
     w = RectangleWitness(pairs=((0.0, 0.5), (0.0, 0.5)), vertices=verts,
                          midpoint_residual=0.0, length_residual=0.0)
     with pytest.raises(ValueError, match="pairs not distinct"):
+        verify_rectangle(c, w, tol=1e-6)
+
+
+def test_verify_rejects_a_witness_without_four_planar_vertices():
+    c = make_preset("circle", [1.0])
+    w = RectangleWitness(pairs=((0.0, 0.5), (0.25, 0.75)),
+                         vertices=c.eval(np.array([0.0, 0.25, 0.5])),
+                         midpoint_residual=0.0, length_residual=0.0)
+    with pytest.raises(ValueError, match=r"^witness must carry 4 planar vertices, got shape \(3, "):
         verify_rectangle(c, w, tol=1e-6)
 
 

@@ -206,6 +206,17 @@ def test_quotient_point_validation():
     with pytest.raises(ValueError, match="antipodal"):
         quotient_point(M, 0.7, 0.25)
     assert quotient_point(P, 1.0, 0.0).is_pole
+    with pytest.raises(ValueError, match=r"^pinched-sphere u must lie in \[0, 1\], got 1.5$"):
+        quotient_point(P, 1.5, 0.2)
+    with pytest.raises(ValueError, match=r"^pinched-sphere v must lie in \[0, 1\), got 1.0$"):
+        quotient_point(P, 0.5, 1.0)
+    # a scheme's value is no scheme
+    for call in (lambda: canonical_chart("torus", 0.1, 0.2),
+                 lambda: quotient_point("torus", 0.1, 0.2),
+                 lambda: quotient_distance("torus", (0.1, 0.2), (0.3, 0.4)),
+                 lambda: orbit("torus", 0.1, 0.2)):
+        with pytest.raises(ValueError, match="^unknown scheme 'torus'$"):
+            call()
 
 
 def test_encode_decode_roundtrip_random():
