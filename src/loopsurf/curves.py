@@ -7,6 +7,7 @@ polylines start at their first vertex.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +114,8 @@ class ClosedCurve:
 
     def sample(self, n):
         """n points at t = 0, 1/n, ..., (n-1)/n."""
+        if not isinstance(n, numbers.Integral):
+            raise ValueError(f"sample count must be an integer, got {n!r}")
         if n < 1:
             raise ValueError("sample count must be >= 1")
         return self.eval(np.arange(n) / float(n))

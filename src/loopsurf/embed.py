@@ -1,8 +1,8 @@
 """R^3 realizations of the glued-square schemes.
 
-Vectorized point charts, welded triangle meshes built on an exact integer
-grid quotient, mesh invariants (V, E, F, Euler characteristic, boundary
-loops, orientability), and Wavefront OBJ export / re-parsing.
+Vectorized point charts, triangle meshes welded on pairspace's canonical
+chart, mesh invariants (V, E, F, Euler characteristic, boundary loops,
+orientability), and Wavefront OBJ export / re-parsing.
 """
 from __future__ import annotations
 
@@ -29,9 +29,10 @@ class Mesh:
     their array fields have no single truth value.
 
     An edge is an undirected pair of vertices that a triangle joins, so a
-    mesh is exactly what its OBJ file carries. ``weld_map`` maps the
-    original row-major grid index to the welded vertex index (None for
-    meshes not built from a grid).
+    mesh's vertices and triangles are exactly what its OBJ file carries.
+    ``weld_map`` is not: it maps the original row-major grid index to the
+    welded vertex index, and is None for meshes not built from a grid
+    (parse_obj gives None).
     """
 
     vertices: np.ndarray
@@ -131,23 +132,6 @@ def embed(scheme, q):
 
 # ---------------------------------------------------------------------- meshes
 
-def _class_keys(scheme, n, i, j):
-    """Integer class key of the grid points (i, j) / n, i, j in 0..n.
-
-    Two points of the n grid share a key iff their square coordinates are
-    scheme-equivalent, which on the uniform grid is an exact integer
-    condition.
-    """
-    im, jm = i % n, j % n
-    if scheme is Scheme.TORUS:
-        return im * n + jm
-    if scheme is Scheme.PINCHED_SPHERE:
-        return np.where(im == 0, 0, 1 + (i - 1) * n + jm)
-    if scheme is Scheme.MOBIUS_UNORDERED:
-        return np.minimum(im, jm) * n + np.maximum(im, jm)
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
 def _first_seen_ids(keys):
     """Dense ids of the 1-D keys in order of first occurrence, and the index
     at which each id first occurs."""
@@ -162,8 +146,8 @@ def build_mesh(scheme, n):
 
     Triangulates the (n+1) x (n+1) grid on the closed unit square, two
     triangles per cell split along the x = y diagonal direction, and welds
-    grid vertices whose square coordinates are scheme-equivalent -- an
-    exact integer condition. Triangles that degenerate under welding
+    grid vertices whose canonical chart coordinates (pairspace's
+    canonical_chart) are equal. Triangles that degenerate under welding
     (collapsed-edge slivers) are dropped: a sliver's two surviving sides
     join one vertex pair, so they are one edge. Faces duplicated by the
     unordered-pair fold are removed, keeping the first copy in creation
@@ -180,10 +164,13 @@ def build_mesh(scheme, n):
         raise ValueError(f"a mobius band needs grid resolution >= 5, got {n}: "
                          "coarser grids join two quotient edges on one vertex pair")
     it = np.int32 if 2 * n * n <= 2**31 else np.int64   # largest index: a fold key < 2 n^2
-    # grid flat index -> welded vertex -> representative grid index
+    # grid flat index -> welded vertex -> representative grid index: the chart
+    # reduces and sorts before any arithmetic, so equivalent points get equal bits
     gi, gj = np.divmod(np.arange((n + 1) ** 2, dtype=it), n + 1)
-    weld, rep = _first_seen_ids(_class_keys(scheme, n, gi, gj))
-    verts = _chart(scheme, *canonical_chart(scheme, gi[rep] / n, gj[rep] / n))
+    u, v, pole = canonical_chart(scheme, gi / n, gj / n)
+    weld, rep = _first_seen_ids(u + 1j * v)
+    verts = _chart(scheme, u[rep], v[rep], pole[rep])
+    del gi, gj, u, v, pole, rep
 
     # two triangles per cell c, row-major cell order, fixed diagonal direction:
     # corner offsets of the lower (c, c+di, c+di+dj) and upper (c, c+di+dj, c+dj)

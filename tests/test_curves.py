@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ellipe, ellipeinc
 
-from loopsurf.curves import from_spec, load_polyline, load_polyline_csv, make_preset
+from loopsurf.curves import ClosedCurve, from_spec, load_polyline, load_polyline_csv, make_preset
 
 # Independent oracle (adaptive quadrature of the ellipse speed integrand,
 # cross-checked against 4*a*E(1 - b^2/a^2)):
@@ -64,8 +64,12 @@ def test_polyline_too_few_vertices():
 def test_polyline_records_and_sample_count():
     with pytest.raises(ValueError, match=r"^expected \(k, 2\) vertex records, got shape \(3, 3\)$"):
         load_polyline(np.eye(3))
+    tri = load_polyline([(0, 0), (1, 0), (0, 1)])
     with pytest.raises(ValueError, match="^sample count must be >= 1$"):
-        load_polyline([(0, 0), (1, 0), (0, 1)]).sample(0)
+        tri.sample(0)
+    with pytest.raises(ValueError, match=r"^sample count must be an integer, got 2\.5$"):
+        tri.sample(2.5)
+    assert tri.sample(np.int64(3)).shape == (3, 2)
 
 
 def test_polyline_duplicate_vertex():
@@ -98,6 +102,10 @@ def test_overflowing_perimeter_rejected(build):
 def test_unknown_preset():
     with pytest.raises(ValueError, match="unknown preset"):
         make_preset("astroid", [1.0])
+    # a hand-built curve of a kind no preset has reaches the chart's own check
+    spiral = ClosedCurve("spiral", (1.0,), None, np.array([0.0, 1.0]), 1.0)
+    with pytest.raises(ValueError, match="^unknown curve kind 'spiral'$"):
+        spiral.eval(0.3)
 
 
 def test_non_positive_parameter():

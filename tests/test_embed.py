@@ -9,7 +9,7 @@ import pytest
 from loopsurf.embed import (
     Mesh,
     NonManifoldEdgeError,
-    _class_keys,
+    _first_seen_ids,
     build_mesh,
     embed,
     export_obj,
@@ -566,7 +566,11 @@ def test_mesh_layers_peak_memory():
     # 15.9 and 13.8 MiB. Parsing bytes measured 15.9 MiB while it decoded
     # the whole source first, and 9.6 MiB (as much as from str) decoding
     # blocks. build_mesh, with no edge keys of its own, measured 10.4 MiB;
-    # its bound is 1.25 times that.
+    # its bound is 1.25 times that. It holds on every scheme: with its grid
+    # arrays freed before the triangles, the torus, the pinched sphere and
+    # the Möbius band measured 9.6, 9.6 and 8.2 MiB.
+    for scheme in (P, M):
+        assert _peak(build_mesh, scheme, 256)[1] <= 13.0 * MIB
     mesh, build_peak = _peak(build_mesh, T, 256)
     assert build_peak <= 13.0 * MIB
     want, inv_peak = _peak(mesh_invariants, mesh)
@@ -615,7 +619,9 @@ def test_invariants_with_vertex_indices_beyond_int32():
 
 
 def _class_key_reference(scheme, n, i, j):
-    """_class_keys in Python integers, one grid point at a time."""
+    """The gluing rule on the n grid in Python integers, one grid point at a
+    time: (i, j) / n and (i', j') / n share a key iff their square
+    coordinates are scheme-equivalent."""
     keys = []
     for a, b in zip(i.tolist(), j.tolist()):
         am, bm = a % n, b % n
@@ -637,8 +643,9 @@ def test_class_keys_exact_at_large_resolution(scheme, n, dtype):
     edge = [0, 1, 2, n // 2, n - 2, n - 1, n]
     i = np.array(edge * len(edge) + rng.integers(0, n + 1, 200).tolist())
     j = np.array(np.repeat(edge, len(edge)).tolist() + rng.integers(0, n + 1, 200).tolist())
-    keys = _class_keys(scheme, n, i.astype(dtype), j.astype(dtype))
-    assert keys.tolist() == _class_key_reference(scheme, n, i, j)
+    u, v, _ = canonical_chart(scheme, i.astype(dtype) / n, j.astype(dtype) / n)
+    welded, _ = _first_seen_ids(u + 1j * v)
+    assert welded.tolist() == _first_seen_ids(_class_key_reference(scheme, n, i, j))[0].tolist()
     # the fold key of build_mesh, on cells (ci, cj) in 0..n-1
     ci, cj = (np.minimum(x, n - 1).astype(dtype)[:, None] for x in (i, j))
     fold = 2 * (ci * n + cj) + [0, 1]

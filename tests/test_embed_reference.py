@@ -39,7 +39,8 @@ def _sizes(scheme):
 
 # The first grid-welding rules, kept as test-only references: vertices by
 # one integer key, edges by a second encoding that directs, wraps and
-# swap-minimizes each edge. build_mesh keys edges by their midpoints instead.
+# swap-minimizes each edge. build_mesh welds on pairspace's canonical chart,
+# and its edges are the vertex pairs its triangles join.
 
 def _grid_class_keys(scheme, n):
     """Integer class key per grid vertex (i, j), i, j in 0..n, row-major.
